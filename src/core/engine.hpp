@@ -77,6 +77,14 @@ struct AggregatorState<Program, false> {
   void end_superstep() {}
 };
 
+/// Topologies whose edge arrays are resident, so a vertex's out-edges can
+/// be handed out as spans (graph::CsrGraph). Paged topologies only iterate.
+template <typename T>
+concept SpanTopology = requires(const T& g, std::size_t slot) {
+  { g.out_neighbours(slot) } -> std::same_as<std::span<const graph::vid_t>>;
+  { g.out_weights(slot) } -> std::same_as<std::span<const graph::weight_t>>;
+};
+
 }  // namespace detail
 
 /// The iPregel execution engine: one fully-typed instantiation per
@@ -90,6 +98,13 @@ struct AggregatorState<Program, false> {
 ///                 delivery (mutex push / spinlock push / pull broadcast)
 ///  - `Bypass`   — whether the section-4 selection bypass replaces the
 ///                 scan-all selection phase
+///  - `Topology` — where the edges come from: the resident graph::CsrGraph,
+///                 or store::PagedGraph, whose edge pages stream through a
+///                 budgeted cache. The superstep touches neighbours only
+///                 through `for_each_out_target`/`for_each_in_neighbour`,
+///                 which both provide in CSR order — so a paged run is this
+///                 same code over a different topology, and pull results
+///                 are bit-identical across the two by construction.
 ///
 /// Addressing (section 5) needs no template parameter: the graph carries
 /// its id->slot mapping (direct = offset 0; desolate = offset 0 with padded
@@ -105,7 +120,8 @@ struct AggregatorState<Program, false> {
 /// `Program::compute` on them in parallel, delivers messages into the next
 /// superstep's generation, and terminates once no vertex is active and no
 /// message is in flight.
-template <VertexProgram Program, CombinerKind Combiner, bool Bypass>
+template <VertexProgram Program, CombinerKind Combiner, bool Bypass,
+          typename Topology = graph::CsrGraph>
 class Engine {
   static_assert(!Bypass || Program::always_halts,
                 "selection bypass requires a program whose vertices vote to "
@@ -122,7 +138,12 @@ class Engine {
   static constexpr bool kBypass = Bypass;
 
   /// Per-vertex view handed to Program::compute — the paper's Fig. 3 API.
-  class Context {
+  /// `Shadow` is the integrity tier's sandboxed replay (shadow_verify):
+  /// value writes land in a local copy and sends, broadcasts and aggregate
+  /// contributions are swallowed, so compute() replays against exactly the
+  /// inputs the live run consumed, with zero engine side effects.
+  template <bool Shadow>
+  class BasicContext {
    public:
     /// Retrieves the (single, combined) pending message. Mirrors the
     /// paper's `IP_get_next_message` while-loop protocol: the first call
@@ -137,7 +158,11 @@ class Engine {
     }
 
     /// Sends `msg` to every out-neighbour (`IP_broadcast`).
-    void broadcast(const Msg& msg) { engine_.do_broadcast(slot_, tid_, msg); }
+    void broadcast(const Msg& msg) {
+      if constexpr (!Shadow) {
+        engine_.do_broadcast(slot_, tid_, msg);
+      }
+    }
 
     /// Sends `msg` to an arbitrary vertex (`IP_send_message`). Only the
     /// push combiners support targeted sends.
@@ -145,7 +170,9 @@ class Engine {
       static_assert(Combiner != CombinerKind::kPull,
                     "the pull combiner supports broadcast-only "
                     "communication; use a push combiner for targeted sends");
-      engine_.do_send(dst, tid_, msg);
+      if constexpr (!Shadow) {
+        engine_.do_send(dst, tid_, msg);
+      }
     }
 
     /// `IP_vote_to_halt`: this vertex becomes inactive until it receives a
@@ -157,7 +184,9 @@ class Engine {
     template <typename P = Program>
       requires HasAggregator<P>
     void aggregate(const typename P::aggregate_type& x) {
-      engine_.aggregator_.contribute(tid_, x);
+      if constexpr (!Shadow) {
+        engine_.aggregator_.contribute(tid_, x);
+      }
     }
 
     /// The fully-reduced aggregate of the PREVIOUS superstep (the BSP
@@ -187,42 +216,49 @@ class Engine {
       return engine_.graph_.id_of(slot_);
     }
     /// Mutable reference to this vertex's value (the paper's `me->val`).
-    [[nodiscard]] Value& value() noexcept { return engine_.values_[slot_]; }
-    [[nodiscard]] const Value& value() const noexcept {
-      return engine_.values_[slot_];
-    }
+    [[nodiscard]] Value& value() noexcept { return value_; }
+    [[nodiscard]] const Value& value() const noexcept { return value_; }
 
     [[nodiscard]] std::size_t out_degree() const noexcept {
       return engine_.graph_.out_degree(slot_);
     }
+    /// Out-edge spans exist only for resident topologies.
     [[nodiscard]] std::span<const graph::vid_t> out_neighbours()
-        const noexcept {
+        const noexcept
+      requires detail::SpanTopology<Topology>
+    {
       return engine_.graph_.out_neighbours(slot_);
     }
     /// Out-edge weights; only valid when the graph was built with weights.
     [[nodiscard]] std::span<const graph::weight_t> out_weights()
-        const noexcept {
+        const noexcept
+      requires detail::SpanTopology<Topology>
+    {
       return engine_.graph_.out_weights(slot_);
     }
 
    private:
     friend class Engine;
-    Context(Engine& engine, std::size_t slot, std::size_t tid,
-            const Msg* msg) noexcept
-        : engine_(engine), slot_(slot), tid_(tid), msg_(msg) {}
+    BasicContext(Engine& engine, std::size_t slot, std::size_t tid,
+                 Value& value, const Msg* msg) noexcept
+        : engine_(engine), slot_(slot), tid_(tid), value_(value), msg_(msg) {}
 
     Engine& engine_;
     std::size_t slot_;
     std::size_t tid_;
+    Value& value_;
     const Msg* msg_;
     bool voted_ = false;
   };
+  using Context = BasicContext<false>;
 
   /// Binds the engine to a graph. Allocates all per-vertex state up front
   /// (values, mailboxes, locks/outboxes, frontier) and registers it with
   /// the MemoryTracker. Throws std::invalid_argument when the pull
-  /// combiner is selected but the graph has no in-neighbour lists.
-  Engine(const graph::CsrGraph& graph, Program program = {},
+  /// combiner is selected but the graph has no in-neighbour lists, or
+  /// when checkpointing is requested on a topology that has no CSR
+  /// fingerprint to bind snapshots to.
+  Engine(const Topology& graph, Program program = {},
          EngineOptions options = {}, runtime::ThreadPool* pool = nullptr)
       : graph_(graph),
         program_(std::move(program)),
@@ -232,8 +268,11 @@ class Engine {
       if (!graph.has_in_edges()) {
         throw std::invalid_argument(
             "the pull combiner gathers from in-neighbours: build the graph "
-            "with build_in_edges = true");
+            "(or write the store) with in-edges");
       }
+    }
+    if (!kFingerprintable && options_.checkpoint.enabled()) {
+      throw std::invalid_argument(kNoFingerprint);
     }
     if (external_pool_ == nullptr) {
       owned_pool_ =
@@ -479,9 +518,7 @@ class Engine {
     return values_[graph_.slot_of(id)];
   }
 
-  [[nodiscard]] const graph::CsrGraph& graph() const noexcept {
-    return graph_;
-  }
+  [[nodiscard]] const Topology& graph() const noexcept { return graph_; }
   [[nodiscard]] const Program& program() const noexcept { return program_; }
 
   /// Captures a snapshot of the engine's state. Only meaningful at a
@@ -706,6 +743,13 @@ class Engine {
   /// must not be memcmp'd), via memcmp otherwise.
   static constexpr bool kShadowComparable =
       std::equality_comparable<Value> || std::is_trivially_copyable_v<Value>;
+  /// Snapshots bind to ft::graph_fingerprint, which is defined over a
+  /// resident CSR; other topologies reject checkpointing up front.
+  static constexpr bool kFingerprintable =
+      requires(const Topology& g) { ft::graph_fingerprint(g); };
+  static constexpr const char* kNoFingerprint =
+      "checkpoint snapshots bind to a CSR graph fingerprint; this topology "
+      "has none, so it cannot be checkpointed or restored";
 
   [[nodiscard]] runtime::ThreadPool& pool() noexcept {
     return external_pool_ != nullptr ? *external_pool_ : *owned_pool_;
@@ -717,10 +761,14 @@ class Engine {
 
   /// Cached ft::graph_fingerprint of the bound graph (O(E) on first use).
   [[nodiscard]] std::uint64_t fingerprint() const {
-    if (fingerprint_ == 0) {
-      fingerprint_ = ft::graph_fingerprint(graph_);
+    if constexpr (kFingerprintable) {
+      if (fingerprint_ == 0) {
+        fingerprint_ = ft::graph_fingerprint(graph_);
+      }
+      return fingerprint_;
+    } else {
+      throw std::invalid_argument(kNoFingerprint);
     }
-    return fingerprint_;
   }
 
   void reset_checkpoint_pacing() noexcept {
@@ -811,16 +859,12 @@ class Engine {
     const std::size_t first = graph_.first_slot();
     for_indices(pool(), graph_.num_slots() - first,
                 [&](std::size_t tid, std::size_t i) {
-                  Context ctx(*this, first + i, tid, nullptr);
+                  Context ctx(*this, first + i, tid, values_[first + i],
+                              nullptr);
                   try {
                     program_.resend(ctx);
-                  } catch (const std::exception& e) {
-                    throw RunError(RunErrorKind::kUserException, superstep_,
-                                   tid, graph_.id_of(first + i), e.what());
                   } catch (...) {
-                    throw RunError(RunErrorKind::kUserException, superstep_,
-                                   tid, graph_.id_of(first + i),
-                                   "resend() threw a non-std::exception");
+                    throw_vertex_failure(tid, first + i, "resend()");
                   }
                 });
     if constexpr (Bypass) {
@@ -945,72 +989,6 @@ class Engine {
   //   3. shadow_capture/verify  — sampled replay of compute()
   // plus apply_flip (options_.flip), the deterministic single-bit
   // corruption injector the detectors are tested against.
-
-  /// Sandboxed replay context for the shadow-recompute tier: value writes
-  /// land in a local copy, sends/broadcasts/aggregate contributions are
-  /// swallowed, and reads (superstep, topology, previous aggregate) come
-  /// from the live engine — so compute() replays against exactly the
-  /// inputs the real execution consumed, with zero engine side effects.
-  class ShadowContext {
-   public:
-    bool get_next_message(Msg& out) noexcept {
-      if (msg_ == nullptr) {
-        return false;
-      }
-      out = *msg_;
-      msg_ = nullptr;
-      return true;
-    }
-    void broadcast(const Msg&) noexcept {}
-    void send_message(graph::vid_t, const Msg&) noexcept {}
-    void vote_to_halt() noexcept { voted_ = true; }
-    template <typename P = Program>
-      requires HasAggregator<P>
-    void aggregate(const typename P::aggregate_type&) noexcept {}
-    template <typename P = Program>
-      requires HasAggregator<P>
-    [[nodiscard]] const typename P::aggregate_type& aggregated()
-        const noexcept {
-      return engine_.aggregator_.previous;
-    }
-    [[nodiscard]] std::size_t superstep() const noexcept {
-      return engine_.superstep_;
-    }
-    [[nodiscard]] bool is_first_superstep() const noexcept {
-      return engine_.superstep_ == 0;
-    }
-    [[nodiscard]] std::size_t num_vertices() const noexcept {
-      return engine_.graph_.num_vertices();
-    }
-    [[nodiscard]] graph::vid_t id() const noexcept {
-      return engine_.graph_.id_of(slot_);
-    }
-    [[nodiscard]] Value& value() noexcept { return value_; }
-    [[nodiscard]] const Value& value() const noexcept { return value_; }
-    [[nodiscard]] std::size_t out_degree() const noexcept {
-      return engine_.graph_.out_degree(slot_);
-    }
-    [[nodiscard]] std::span<const graph::vid_t> out_neighbours()
-        const noexcept {
-      return engine_.graph_.out_neighbours(slot_);
-    }
-    [[nodiscard]] std::span<const graph::weight_t> out_weights()
-        const noexcept {
-      return engine_.graph_.out_weights(slot_);
-    }
-
-   private:
-    friend class Engine;
-    ShadowContext(Engine& engine, std::size_t slot, Value& value,
-                  const Msg* msg) noexcept
-        : engine_(engine), slot_(slot), value_(value), msg_(msg) {}
-
-    Engine& engine_;
-    std::size_t slot_;
-    Value& value_;
-    const Msg* msg_;
-    bool voted_ = false;
-  };
 
   struct ShadowSample {
     std::size_t slot = 0;
@@ -1285,16 +1263,10 @@ class Engine {
         s.was_halted = halted_[slot] != 0;
         if constexpr (Combiner == CombinerKind::kPull) {
           if (superstep_ > 0) {
-            for (const graph::vid_t u : graph_.in_neighbours(slot)) {
-              Msg m{};
-              if (mail_->fetch(cur_gen_, graph_.slot_of(u), m)) {
-                if (s.has_msg) {
-                  Program::combine(s.msg, m);
-                } else {
-                  s.msg = m;
-                  s.has_msg = true;
-                }
-              }
+            try {
+              s.has_msg = gather(cur_gen_, slot, s.msg);
+            } catch (...) {
+              throw_vertex_failure(0, slot, "the shadow gather");
             }
           }
         } else {
@@ -1332,8 +1304,8 @@ class Engine {
         bool voted = s.was_halted;
         if (executed) {
           Msg m = s.msg;
-          ShadowContext ctx(*this, s.slot, expect,
-                            s.has_msg ? &m : nullptr);
+          BasicContext<true> ctx(*this, s.slot, 0, expect,
+                                 s.has_msg ? &m : nullptr);
           try {
             program_.compute(ctx);
           } catch (...) {
@@ -1585,73 +1557,107 @@ class Engine {
       }
     }
     Msg combined{};
-    bool has = false;
-    if constexpr (Combiner == CombinerKind::kPull) {
-      // The gather phase of section 6.2: fetch every in-neighbour's armed
-      // outbox and combine locally. Read-only across vertices, writes stay
-      // intra-vertex: race-free by construction.
-      if (superstep_ > 0) {
-        for (const graph::vid_t u : graph_.in_neighbours(slot)) {
-          Msg m{};
-          if (mail_->fetch(cur, graph_.slot_of(u), m)) {
-            if (has) {
-              Program::combine(combined, m);
-            } else {
-              combined = m;
-              has = true;
-            }
-          }
-        }
-      }
-    } else {
-      has = mail_->consume(cur, slot, combined);
-    }
-    // Scan-all selection: skip vertices that are halted with an empty
-    // inbox — the "unfruitful checks" the bypass eliminates. (Under the
-    // bypass every visited vertex has a message by construction.)
-    if (!has && superstep_ > 0 && halted_[slot] != 0) {
-      return;
-    }
-    Context ctx(*this, slot, tid, has ? &combined : nullptr);
+    bool voted = false;
     try {
+      bool has = false;
+      if constexpr (Combiner == CombinerKind::kPull) {
+        if (superstep_ > 0) {
+          has = gather(cur, slot, combined);
+        }
+      } else {
+        has = mail_->consume(cur, slot, combined);
+      }
+      // Scan-all selection: skip vertices that are halted with an empty
+      // inbox — the "unfruitful checks" the bypass eliminates. (Under the
+      // bypass every visited vertex has a message by construction.)
+      if (!has && superstep_ > 0 && halted_[slot] != 0) {
+        return;
+      }
+      Context ctx(*this, slot, tid, values_[slot], has ? &combined : nullptr);
       program_.compute(ctx);
-    } catch (const RunError&) {
-      throw;  // already carries its context
-    } catch (const std::exception& e) {
-      throw RunError(RunErrorKind::kUserException, superstep_, tid,
-                     graph_.id_of(slot), e.what());
+      voted = ctx.voted_;
     } catch (...) {
-      throw RunError(RunErrorKind::kUserException, superstep_, tid,
-                     graph_.id_of(slot),
-                     "compute() threw a non-std::exception");
+      throw_vertex_failure(tid, slot, "compute()");
     }
-    halted_[slot] = ctx.voted_ ? 1 : 0;
+    halted_[slot] = voted ? 1 : 0;
     ThreadCounters& c = counters_[tid];
     ++c.executed;
-    if (!ctx.voted_) {
+    if (!voted) {
       ++c.active;
     }
   }
 
+  /// The gather phase of section 6.2: fetch every in-neighbour's armed
+  /// generation-`gen` outbox and fold them in CSR order (first message,
+  /// then combine). Read-only across vertices, writes stay intra-vertex:
+  /// race-free by construction.
+  bool gather(unsigned gen, std::size_t slot, Msg& combined) const {
+    bool has = false;
+    graph_.for_each_in_neighbour(slot, [&](graph::vid_t u) {
+      Msg m{};
+      if (mail_->fetch(gen, graph_.slot_of(u), m)) {
+        if (has) {
+          Program::combine(combined, m);
+        } else {
+          combined = m;
+          has = true;
+        }
+      }
+    });
+    return has;
+  }
+
+  /// Maps the exception in flight out of a vertex hook onto the run-
+  /// failure taxonomy: RunError passes through; a topology that could not
+  /// serve its edges (a paged graph's PageError or io::IoError, power loss
+  /// included) is kPageError; anything else the program threw is
+  /// kUserException. Call only from a catch block.
+  [[noreturn]] void throw_vertex_failure(std::size_t tid, std::size_t slot,
+                                         const char* hook) const {
+    try {
+      throw;
+    } catch (const RunError&) {
+      throw;  // already carries its context
+    } catch (const std::exception& e) {
+      throw RunError(topology_failure(e) ? RunErrorKind::kPageError
+                                         : RunErrorKind::kUserException,
+                     superstep_, tid, graph_.id_of(slot), e.what());
+    } catch (...) {
+      throw RunError(RunErrorKind::kUserException, superstep_, tid,
+                     graph_.id_of(slot),
+                     std::string(hook) + " threw a non-std::exception");
+    }
+  }
+
+  [[nodiscard]] static bool topology_failure(const std::exception& e) {
+    if constexpr (requires { Topology::is_page_failure(e); }) {
+      return Topology::is_page_failure(e);
+    } else {
+      return false;
+    }
+  }
+
+  /// A pull broadcast arms the sender's outbox and reads only the out-
+  /// degree, never the targets (a paged topology streams no page for it).
   void do_broadcast(std::size_t slot, std::size_t tid, const Msg& msg) {
-    const auto neighbours = graph_.out_neighbours(slot);
+    const std::size_t degree = graph_.out_degree(slot);
     if constexpr (Combiner == CombinerKind::kPull) {
-      if (!neighbours.empty()) {
+      if (degree != 0) {
         mail_->broadcast(nxt_gen_, slot, msg);
       }
       if constexpr (Bypass) {
         // Pull senders never touch recipient state, so recipients are
         // claimed through the frontier's dedup bitmap.
-        for (const graph::vid_t dst : neighbours) {
+        graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
           frontier_->add(graph_.slot_of(dst), tid);
-        }
+        });
       }
     } else {
-      for (const graph::vid_t dst : neighbours) {
+      graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
         deliver_push(graph_.slot_of(dst), tid, msg);
-      }
+      });
     }
-    counters_[tid].sent += neighbours.size();
+    counters_[tid].sent += degree;
   }
 
   void do_send(graph::vid_t dst, std::size_t tid, const Msg& msg) {
@@ -1680,7 +1686,7 @@ class Engine {
     }
   }
 
-  const graph::CsrGraph& graph_;
+  const Topology& graph_;
   Program program_;
   EngineOptions options_;
   runtime::ThreadPool* external_pool_ = nullptr;

@@ -97,6 +97,21 @@ class CsrGraph {
     return in_offsets_[slot + 1] - in_offsets_[slot];
   }
 
+  /// Calls `fn(vid_t)` for every out-/in-neighbour of `slot`, in CSR order:
+  /// the iteration interface the engine shares with store::PagedGraph.
+  template <typename Fn>
+  void for_each_out_target(std::size_t slot, Fn&& fn) const {
+    for (const vid_t v : out_neighbours(slot)) {
+      fn(v);
+    }
+  }
+  template <typename Fn>
+  void for_each_in_neighbour(std::size_t slot, Fn&& fn) const {
+    for (const vid_t v : in_neighbours(slot)) {
+      fn(v);
+    }
+  }
+
   /// Average out-degree |E| / |V| — "graph density" in the paper's
   /// discussion of pull-combiner and message-propagation behaviour.
   [[nodiscard]] double average_degree() const noexcept {

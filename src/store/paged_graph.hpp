@@ -3,11 +3,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <vector>
 
 #include "graph/types.hpp"
+#include "io/vfs.hpp"
 #include "runtime/memory_tracker.hpp"
 #include "store/page_cache.hpp"
+#include "store/page_error.hpp"
 #include "store/paged_store.hpp"
 
 namespace ipregel::store {
@@ -26,7 +29,9 @@ namespace ipregel::store {
 ///
 /// Iteration visits elements in exact CSR array order, which is what
 /// makes a streaming pull gather combine in the same order as the in-RAM
-/// engine — the heart of the bit-identity guarantee.
+/// engine — the heart of the bit-identity guarantee. It is also the whole
+/// interface Engine needs from a topology, so a paged run is
+/// `Engine<Program, Combiner, false, PagedGraph>`.
 class PagedGraph {
  public:
   /// Loads the resident offset arrays (every page verified). Throws
@@ -82,6 +87,15 @@ class PagedGraph {
   }
   [[nodiscard]] std::size_t in_degree(std::size_t slot) const noexcept {
     return in_offsets_[slot + 1] - in_offsets_[slot];
+  }
+
+  /// True when `e` means an edge page could not be served: a typed
+  /// PageError, or a transport io::IoError (io::PowerLoss included). The
+  /// engine reports these as RunErrorKind::kPageError wherever a vertex
+  /// hook hits them: the pull gather or a broadcast inside compute().
+  [[nodiscard]] static bool is_page_failure(const std::exception& e) noexcept {
+    return dynamic_cast<const PageError*>(&e) != nullptr ||
+           dynamic_cast<const io::IoError*>(&e) != nullptr;
   }
 
   /// Calls `fn(vid_t target)` for every out-neighbour of `slot`, in CSR

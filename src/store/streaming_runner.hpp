@@ -1,81 +1,63 @@
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <exception>
-#include <memory>
-#include <mutex>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
-#include <thread>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/run_error.hpp"
+#include "core/engine.hpp"
 #include "graph/types.hpp"
-#include "io/vfs.hpp"
-#include "runtime/memory_tracker.hpp"
-#include "runtime/timer.hpp"
-#include "store/page_error.hpp"
+#include "store/page_cache.hpp"
 #include "store/paged_graph.hpp"
 
 namespace ipregel::store {
 
-/// Which message-delivery scheme the streaming superstep uses.
+/// Which combiner a paged run uses.
 enum class StreamMode : std::uint8_t {
-  /// Pull/broadcast: senders arm a single resident outbox value,
-  /// receivers gather from in-neighbours in CSR order (streaming the
-  /// in-target pages). The gather fold is EXACTLY the in-RAM engine's
-  /// (same array, same order, same combine fold), so results are
-  /// bit-identical to Engine<Program, CombinerKind::kPull> for any
-  /// program — including float programs like PageRank.
+  /// CombinerKind::kPull: senders arm a single resident outbox value (a
+  /// broadcast reads only the resident out-degree, never a target page);
+  /// receivers gather from in-neighbours in CSR order, streaming the
+  /// in-target pages. Bit-identical to the in-RAM pull engine for any
+  /// program, PageRank's floats included.
   kPull,
-  /// Push/broadcast: senders stream their out-target pages and combine
-  /// into the receiver's single-slot resident inbox under a per-vertex
-  /// spinlock. Delivery order depends on thread interleaving, so
-  /// bit-identity versus the in-RAM engine holds for programs whose
-  /// combiner is order-insensitive (min/max/sum-of-ints — e.g. SSSP,
-  /// Hashmin), the same caveat the in-RAM push combiners carry.
+  /// CombinerKind::kSpinlockPush: senders stream their out-target pages
+  /// and combine into each receiver's single-slot inbox under its lock.
+  /// Delivery order follows thread interleaving, so identity with the
+  /// in-RAM engine needs an order-insensitive combiner (min/max/integer
+  /// sum — SSSP, Hashmin), the caveat every push combiner carries.
   kPush,
 };
 
-/// Options for a streaming (beyond-RAM) run.
-struct PagedRunOptions {
-  std::size_t threads = 1;
-  std::size_t max_supersteps = static_cast<std::size_t>(-1);
-  /// Cooperative cancel flag, polled at superstep barriers.
-  const std::atomic<bool>* cancel_token = nullptr;
-};
+/// A paged run takes the engine's options unchanged.
+using PagedRunOptions = EngineOptions;
 
-/// Statistics of a streaming run: the engine's RunResult plus the cache
+/// Statistics of a paged run: the engine's RunResult plus the cache
 /// counters accumulated while edges streamed through.
 struct PagedRunResult {
   RunResult run{};
   PageCacheStats cache{};
 };
 
-/// Edge-streaming BSP runner: vertex values, halted flags, and mailboxes
-/// resident (O(V), exactly the state the in-RAM engine keeps per vertex);
-/// edge topology streamed from a PagedStore through a budget-charged
-/// PageCache (O(E), the part that does not fit).
+/// Runs a program over a paged store: `Engine<Program, kPull or
+/// kSpinlockPush, false, PagedGraph>`. Vertex values, halted flags and
+/// mailboxes stay resident (O(V)); edge pages stream through the graph's
+/// budgeted PageCache (O(E)). Everything else — the superstep, the thread
+/// pool, watchdogs and the cancel token, the memory budget, per-superstep
+/// stats, aggregators, integrity tiers — is the engine's, and a page that
+/// cannot be served ends the run as RunError{kPageError}.
 ///
-/// The superstep loop replicates the in-RAM engine's semantics point for
-/// point: scan-all selection skips vertices that are halted with an empty
-/// inbox, compute runs under the same Context protocol (single combined
-/// message, broadcast, vote_to_halt), and the loop terminates when no
-/// message was sent and no vertex stayed active. See StreamMode for the
-/// bit-identity guarantees.
-///
-/// Failure domain: a page that cannot be served (after the cache's
-/// bounded retry/quarantine ladder) unwinds the superstep and surfaces as
-/// RunError{kPageError} carrying the PageError detail; a simulated power
-/// cut (io::PowerLoss) does the same — typed, never a hang. compute()
-/// exceptions map to kUserException as in the engine. run_checked()
-/// converts all of these to a RunOutcome.
+/// This adapter only picks the engine for a StreamMode, keeps the paged
+/// default of one worker thread (the cache budget must admit a pinned
+/// page per worker; EngineOptions' 0 would mean every core), and keeps the
+/// final values as a vector.
 template <typename Program>
 class StreamingRunner {
  public:
   using Value = typename Program::value_type;
-  using Msg = typename Program::message_type;
 
   StreamingRunner(PagedGraph& graph, Program program = {},
                   PagedRunOptions options = {})
@@ -83,93 +65,25 @@ class StreamingRunner {
     if (options_.threads == 0) {
       options_.threads = 1;
     }
-    const std::size_t slots = graph_.num_slots();
-    values_.resize(slots);
-    halted_.assign(slots, 0);
-    cur_msg_.resize(slots);
-    nxt_msg_.resize(slots);
-    cur_has_.assign(slots, 0);
-    nxt_has_.assign(slots, 0);
-    state_mem_ = runtime::MemReservation(
-        runtime::MemCategory::kVertexValues,
-        slots * (sizeof(Value) + 2 * sizeof(Msg) + 3));
   }
 
   StreamingRunner(const StreamingRunner&) = delete;
   StreamingRunner& operator=(const StreamingRunner&) = delete;
 
-  /// Runs to completion (or the superstep cap). Throws RunError;
-  /// reentrant — every call reinitialises vertex state.
+  /// Runs to completion (or the superstep cap). Throws RunError, and
+  /// std::invalid_argument when kPull meets a program that is not
+  /// broadcast-only or a store written without in-edges. Reentrant.
   PagedRunResult run(StreamMode mode) {
-    if (mode == StreamMode::kPull) {
-      if constexpr (!Program::broadcast_only) {
-        throw std::invalid_argument(
-            "the pull stream mode requires broadcast-only communication");
-      }
-      if (!graph_.has_in_edges()) {
-        throw std::invalid_argument(
-            "the pull stream mode gathers from in-neighbours: write the "
-            "store with in-edges");
-      }
-    }
-    reset_state();
-    if (mode == StreamMode::kPush && locks_ == nullptr) {
-      locks_.reset(new std::atomic_flag[graph_.num_slots()]());
-    }
     PagedRunResult out;
-    runtime::Timer timer;
-    const std::size_t first = graph_.first_slot();
-    const std::size_t slots = graph_.num_slots();
-    bool capped = true;
-    while (superstep_ < options_.max_supersteps) {
-      if (options_.cancel_token != nullptr &&
-          options_.cancel_token->load(std::memory_order_relaxed)) {
-        throw RunError(RunErrorKind::kCancelled, superstep_, 0,
-                       RunError::kNoVertex, "cancelled at superstep barrier");
-      }
-      std::atomic<std::size_t> sent{0};
-      std::atomic<std::size_t> active{0};
-      std::atomic<std::size_t> executed{0};
-      parallel_slots(first, slots, [&](std::size_t begin, std::size_t end) {
-        std::size_t my_sent = 0;
-        std::size_t my_active = 0;
-        std::size_t my_executed = 0;
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          process_vertex(mode, slot, my_sent, my_active, my_executed);
-        }
-        sent.fetch_add(my_sent, std::memory_order_relaxed);
-        active.fetch_add(my_active, std::memory_order_relaxed);
-        executed.fetch_add(my_executed, std::memory_order_relaxed);
-      });
-      out.run.total_messages += sent.load();
-      out.run.total_executed_vertices += executed.load();
-      ++superstep_;
-      // Generation swap: next superstep consumes what this one sent.
-      cur_msg_.swap(nxt_msg_);
-      cur_has_.swap(nxt_has_);
-      std::fill(nxt_has_.begin(), nxt_has_.end(), std::uint8_t{0});
-      if (sent.load() == 0 && active.load() == 0) {
-        capped = false;
-        break;
-      }
-    }
-    out.run.supersteps = superstep_;
-    out.run.seconds = timer.seconds();
-    out.run.reached_superstep_cap = capped;
+    out.run = with_engine(mode, [](auto& engine) { return engine.run(); });
     out.cache = graph_.cache().stats();
     return out;
   }
 
-  /// Typed-failure entry point: RunError becomes outcome data, exactly
-  /// like Engine::run_checked.
+  /// run() with RunError surfaced as outcome data (Engine::run_checked).
   RunOutcome run_checked(StreamMode mode) {
-    RunOutcome out;
-    try {
-      out.result = run(mode).run;
-    } catch (const RunError& e) {
-      out.error = e;
-    }
-    return out;
+    return with_engine(mode,
+                       [](auto& engine) { return engine.run_checked(); });
   }
 
   [[nodiscard]] const std::vector<Value>& values() const noexcept {
@@ -180,227 +94,46 @@ class StreamingRunner {
   }
 
  private:
-  /// Per-vertex view handed to Program::compute — the streaming mirror of
-  /// Engine::Context (same protocol, same visibility rules).
-  class Context {
-   public:
-    bool get_next_message(Msg& out) noexcept {
-      if (msg_ == nullptr) {
-        return false;
-      }
-      out = *msg_;
-      msg_ = nullptr;
-      return true;
-    }
+  // The pull engine does not compile for programs that send targeted
+  // messages, so it is only named for broadcast-only ones.
+  using PullEngine = std::conditional_t<
+      Program::broadcast_only,
+      Engine<Program, CombinerKind::kPull, false, PagedGraph>, std::monostate>;
+  using PushEngine =
+      Engine<Program, CombinerKind::kSpinlockPush, false, PagedGraph>;
 
-    void broadcast(const Msg& msg) {
-      runner_.do_broadcast(mode_, slot_, msg, sent_);
-    }
-
-    void vote_to_halt() noexcept { voted_ = true; }
-
-    [[nodiscard]] std::size_t superstep() const noexcept {
-      return runner_.superstep_;
-    }
-    [[nodiscard]] bool is_first_superstep() const noexcept {
-      return runner_.superstep_ == 0;
-    }
-    [[nodiscard]] std::size_t num_vertices() const noexcept {
-      return runner_.graph_.num_vertices();
-    }
-    [[nodiscard]] graph::vid_t id() const noexcept {
-      return runner_.graph_.id_of(slot_);
-    }
-    [[nodiscard]] Value& value() noexcept { return runner_.values_[slot_]; }
-    [[nodiscard]] const Value& value() const noexcept {
-      return runner_.values_[slot_];
-    }
-    [[nodiscard]] std::size_t out_degree() const noexcept {
-      return runner_.graph_.out_degree(slot_);
-    }
-
-   private:
-    friend class StreamingRunner;
-    Context(StreamingRunner& runner, StreamMode mode, std::size_t slot,
-            const Msg* msg, std::size_t& sent) noexcept
-        : runner_(runner), mode_(mode), slot_(slot), msg_(msg), sent_(sent) {}
-
-    StreamingRunner& runner_;
-    StreamMode mode_;
-    std::size_t slot_;
-    const Msg* msg_;
-    std::size_t& sent_;
-    bool voted_ = false;
-  };
-
-  void reset_state() {
-    superstep_ = 0;
-    const std::size_t first = graph_.first_slot();
-    for (std::size_t s = first; s < graph_.num_slots(); ++s) {
-      values_[s] = program_.initial_value(graph_.id_of(s));
-      halted_[s] = 0;
-    }
-    std::fill(cur_has_.begin(), cur_has_.end(), std::uint8_t{0});
-    std::fill(nxt_has_.begin(), nxt_has_.end(), std::uint8_t{0});
-  }
-
-  void process_vertex(StreamMode mode, std::size_t slot, std::size_t& sent,
-                      std::size_t& active, std::size_t& executed) {
-    Msg combined{};
-    bool has = false;
+  template <typename F>
+  auto with_engine(StreamMode mode, F&& f) {
     if (mode == StreamMode::kPull) {
-      // The gather of the in-RAM pull combiner, element for element:
-      // in-neighbours in CSR order, fold = first message then combine.
-      if (superstep_ > 0) {
-        graph_.for_each_in_neighbour(slot, [&](graph::vid_t u) {
-          const std::size_t us = graph_.slot_of(u);
-          if (cur_has_[us] != 0) {
-            if (has) {
-              Program::combine(combined, cur_msg_[us]);
-            } else {
-              combined = cur_msg_[us];
-              has = true;
-            }
-          }
-        });
-      }
-    } else {
-      has = cur_has_[slot] != 0;
-      if (has) {
-        combined = cur_msg_[slot];
+      if constexpr (Program::broadcast_only) {
+        return drive(pull_, push_, f);
+      } else {
+        throw std::invalid_argument(
+            "the pull stream mode requires broadcast-only communication");
       }
     }
-    // Scan-all selection, as in the engine: halted with an empty inbox is
-    // skipped.
-    if (!has && superstep_ > 0 && halted_[slot] != 0) {
-      return;
-    }
-    Context ctx(*this, mode, slot, has ? &combined : nullptr, sent);
-    try {
-      program_.compute(ctx);
-    } catch (const PageError&) {
-      throw;
-    } catch (const io::IoError&) {
-      throw;
-    } catch (const RunError&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw RunError(RunErrorKind::kUserException, superstep_, 0,
-                     graph_.id_of(slot), e.what());
-    }
-    halted_[slot] = ctx.voted_ ? 1 : 0;
-    ++executed;
-    if (!ctx.voted_) {
-      ++active;
-    }
+    return drive(push_, pull_, f);
   }
 
-  void do_broadcast(StreamMode mode, std::size_t slot, const Msg& msg,
-                    std::size_t& sent) {
-    const std::size_t degree = graph_.out_degree(slot);
-    if (mode == StreamMode::kPull) {
-      if (degree > 0) {
-        nxt_msg_[slot] = msg;
-        nxt_has_[slot] = 1;
-      }
-    } else {
-      graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
-        const std::size_t ds = graph_.slot_of(dst);
-        std::atomic_flag& lock = locks_[ds];
-        while (lock.test_and_set(std::memory_order_acquire)) {
-        }
-        if (nxt_has_[ds] != 0) {
-          Program::combine(nxt_msg_[ds], msg);
-        } else {
-          nxt_msg_[ds] = msg;
-          nxt_has_[ds] = 1;
-        }
-        lock.clear(std::memory_order_release);
-      });
+  /// Runs `f` on `engine` (built on first use; the other mode's engine is
+  /// released so one set of mailboxes is resident) and keeps its values.
+  template <typename E, typename Other, typename F>
+  auto drive(std::optional<E>& engine, std::optional<Other>& other, F& f) {
+    other.reset();
+    if (!engine) {
+      engine.emplace(graph_, program_, options_);
     }
-    sent += degree;
-  }
-
-  /// Fork-join block partition of [first, slots) across options_.threads.
-  /// The first worker exception (typed-translated) wins and rethrows on
-  /// the calling thread after the join — no exception ever escapes a
-  /// worker, no worker is detached, so a failing superstep unwinds
-  /// instead of hanging.
-  template <typename Body>
-  void parallel_slots(std::size_t first, std::size_t slots, Body&& body) {
-    const std::size_t n = slots - first;
-    const std::size_t teams = std::min(options_.threads, n == 0 ? 1 : n);
-    std::exception_ptr error;
-    std::mutex error_mu;
-    const auto guarded = [&](std::size_t begin, std::size_t end) {
-      try {
-        body(begin, end);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) {
-          error = std::current_exception();
-        }
-      }
-    };
-    if (teams <= 1) {
-      guarded(first, slots);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(teams);
-      const std::size_t chunk = (n + teams - 1) / teams;
-      for (std::size_t t = 0; t < teams; ++t) {
-        const std::size_t begin = first + t * chunk;
-        const std::size_t end = std::min(slots, begin + chunk);
-        if (begin >= end) {
-          break;
-        }
-        workers.emplace_back(guarded, begin, end);
-      }
-      for (std::thread& w : workers) {
-        w.join();
-      }
-    }
-    if (error) {
-      translate_and_throw(error);
-    }
-  }
-
-  /// Maps a captured worker exception onto the run-failure taxonomy:
-  /// paging damage (typed PageError, transport IoError, or a dead disk's
-  /// PowerLoss) becomes kPageError with the full detail preserved.
-  [[noreturn]] void translate_and_throw(std::exception_ptr error) {
-    try {
-      std::rethrow_exception(std::move(error));
-    } catch (const RunError&) {
-      throw;
-    } catch (const PageError& e) {
-      throw RunError(RunErrorKind::kPageError, superstep_, 0,
-                     RunError::kNoVertex, e.what());
-    } catch (const io::IoError& e) {
-      throw RunError(RunErrorKind::kPageError, superstep_, 0,
-                     RunError::kNoVertex, e.what());
-    } catch (const std::exception& e) {
-      throw RunError(RunErrorKind::kUserException, superstep_, 0,
-                     RunError::kNoVertex, e.what());
-    }
+    auto result = f(*engine);
+    values_.assign(engine->values().begin(), engine->values().end());
+    return result;
   }
 
   PagedGraph& graph_;
   Program program_;
   PagedRunOptions options_;
-  std::size_t superstep_ = 0;
-
+  std::optional<PullEngine> pull_;
+  std::optional<PushEngine> push_;
   std::vector<Value> values_;
-  std::vector<std::uint8_t> halted_;
-  // Single-slot mailboxes, two generations. Pull mode uses them as the
-  // sender's outbox (gather reads cur_*); push mode as the receiver's
-  // inbox (selection consumes cur_*). Same O(V) shape either way.
-  std::vector<Msg> cur_msg_;
-  std::vector<Msg> nxt_msg_;
-  std::vector<std::uint8_t> cur_has_;
-  std::vector<std::uint8_t> nxt_has_;
-  std::unique_ptr<std::atomic_flag[]> locks_;  // push mode only
-  runtime::MemReservation state_mem_;
 };
 
 }  // namespace ipregel::store

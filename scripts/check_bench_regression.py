@@ -16,10 +16,12 @@ Independent of any baseline, the candidate's own "gates" section (see
 bench::JsonReport::floor) is enforced as absolute floors — e.g. the
 traffic bench requires batching_speedup >= 3 on the full run — and its
 "ceilings" section (bench::JsonReport::ceiling) as absolute maxima —
-e.g. p99 latency bounds. Thresholds travel with the run that produced
-them, so a smoke run carries smoke thresholds, and a collapsed run
-cannot re-baseline itself: even if its report replaced the committed
-baseline, its own embedded gates would still fail it.
+e.g. p99 latency bounds, or the paged bench's page-pin count
+(budget_full.pins), a deterministic count that holds on any host.
+Thresholds travel with the run that produced them, so a smoke run
+carries smoke thresholds, and a collapsed run cannot re-baseline
+itself: even if its report replaced the committed baseline, its own
+embedded gates would still fail it.
 
 The default tolerance (10%) is meant for like-for-like comparisons on
 the machine that produced the baseline. CI compares against a baseline

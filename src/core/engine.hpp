@@ -391,7 +391,7 @@ class Engine {
       verify_checksums();
       shadow_capture();
       for (auto& c : counters_) {
-        c = ThreadCounters{};
+        c = ThreadState{};
       }
       aggregator_.begin_superstep();
       fault_active_ = options_.fault.armed() &&
@@ -723,10 +723,23 @@ class Engine {
       std::conditional_t<Combiner == CombinerKind::kPull, PullOutboxes<Msg>,
                          PushMailboxes<Msg, LockType>>;
 
-  struct alignas(64) ThreadCounters {
+  using Cursor = typename Topology::Cursor;
+  /// One per pool thread: the superstep's counters, and the cursor the
+  /// thread walks edges through (a paged graph's pinned page).
+  struct alignas(64) ThreadState {
     std::size_t sent = 0;
     std::size_t active = 0;
     std::size_t executed = 0;
+    [[no_unique_address]] Cursor cursor;
+  };
+
+  /// Releases a thread's cursor on every exit from its vertex range, an
+  /// exception (a kPageError mid-range) included.
+  struct CursorRelease {
+    explicit CursorRelease(Cursor& c) : cursor(c) {}
+    CursorRelease(const CursorRelease&) = delete;
+    ~CursorRelease() { cursor = Cursor{}; }
+    Cursor& cursor;
   };
 
   /// Detected from Program: lightweight recovery needs `resend(ctx)`.
@@ -854,7 +867,7 @@ class Engine {
     nxt_gen_ = static_cast<unsigned>(resume & 1);
     cur_gen_ = nxt_gen_ ^ 1u;
     for (auto& c : counters_) {
-      c = ThreadCounters{};
+      c = ThreadState{};
     }
     const std::size_t first = graph_.first_slot();
     for_indices(pool(), graph_.num_slots() - first,
@@ -1249,6 +1262,8 @@ class Engine {
       return;
     }
     if constexpr (kShadowComparable) {
+      // The barrier-side gather walks thread 0's cursor: released on return.
+      const CursorRelease release{counters_[0].cursor};
       const std::size_t first = graph_.first_slot();
       const std::size_t n = graph_.num_slots() - first;
       const std::vector<std::size_t> slots = integrity::shadow_sample(
@@ -1264,7 +1279,7 @@ class Engine {
         if constexpr (Combiner == CombinerKind::kPull) {
           if (superstep_ > 0) {
             try {
-              s.has_msg = gather(cur_gen_, slot, s.msg);
+              s.has_msg = gather(cur_gen_, slot, counters_[0].cursor, s.msg);
             } catch (...) {
               throw_vertex_failure(0, slot, "the shadow gather");
             }
@@ -1503,6 +1518,7 @@ class Engine {
   void for_indices(runtime::ThreadPool& workers, std::size_t n, Fn&& fn) {
     const auto body = [this, &fn, &workers](std::size_t tid,
                                             runtime::Range r) {
+      const CursorRelease release{counters_[tid].cursor};
       std::size_t tick = 0;
       for (std::size_t i = r.begin; i < r.end; ++i) {
         if ((tick++ & 63u) == 0u && guard_tick(workers)) {
@@ -1562,7 +1578,7 @@ class Engine {
       bool has = false;
       if constexpr (Combiner == CombinerKind::kPull) {
         if (superstep_ > 0) {
-          has = gather(cur, slot, combined);
+          has = gather(cur, slot, counters_[tid].cursor, combined);
         }
       } else {
         has = mail_->consume(cur, slot, combined);
@@ -1580,7 +1596,7 @@ class Engine {
       throw_vertex_failure(tid, slot, "compute()");
     }
     halted_[slot] = voted ? 1 : 0;
-    ThreadCounters& c = counters_[tid];
+    ThreadState& c = counters_[tid];
     ++c.executed;
     if (!voted) {
       ++c.active;
@@ -1591,9 +1607,10 @@ class Engine {
   /// generation-`gen` outbox and fold them in CSR order (first message,
   /// then combine). Read-only across vertices, writes stay intra-vertex:
   /// race-free by construction.
-  bool gather(unsigned gen, std::size_t slot, Msg& combined) const {
+  bool gather(unsigned gen, std::size_t slot, Cursor& cursor,
+              Msg& combined) const {
     bool has = false;
-    graph_.for_each_in_neighbour(slot, [&](graph::vid_t u) {
+    graph_.for_each_in_neighbour(slot, cursor, [&](graph::vid_t u) {
       Msg m{};
       if (mail_->fetch(gen, graph_.slot_of(u), m)) {
         if (has) {
@@ -1641,6 +1658,7 @@ class Engine {
   /// degree, never the targets (a paged topology streams no page for it).
   void do_broadcast(std::size_t slot, std::size_t tid, const Msg& msg) {
     const std::size_t degree = graph_.out_degree(slot);
+    Cursor& cursor = counters_[tid].cursor;
     if constexpr (Combiner == CombinerKind::kPull) {
       if (degree != 0) {
         mail_->broadcast(nxt_gen_, slot, msg);
@@ -1648,12 +1666,12 @@ class Engine {
       if constexpr (Bypass) {
         // Pull senders never touch recipient state, so recipients are
         // claimed through the frontier's dedup bitmap.
-        graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
+        graph_.for_each_out_target(slot, cursor, [&](graph::vid_t dst) {
           frontier_->add(graph_.slot_of(dst), tid);
         });
       }
     } else {
-      graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
+      graph_.for_each_out_target(slot, cursor, [&](graph::vid_t dst) {
         deliver_push(graph_.slot_of(dst), tid, msg);
       });
     }
@@ -1696,7 +1714,7 @@ class Engine {
   std::vector<std::uint8_t> halted_;
   std::optional<Mailboxes> mail_;
   std::optional<Frontier> frontier_;
-  std::vector<ThreadCounters> counters_;
+  std::vector<ThreadState> counters_;
   detail::AggregatorState<Program> aggregator_;
 
   std::size_t superstep_ = 0;

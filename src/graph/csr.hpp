@@ -97,16 +97,20 @@ class CsrGraph {
     return in_offsets_[slot + 1] - in_offsets_[slot];
   }
 
+  /// The per-worker cursor the engine walks edges through. Resident edges
+  /// need no pin, so it is empty and compiles away.
+  struct Cursor {};
+
   /// Calls `fn(vid_t)` for every out-/in-neighbour of `slot`, in CSR order:
   /// the iteration interface the engine shares with store::PagedGraph.
   template <typename Fn>
-  void for_each_out_target(std::size_t slot, Fn&& fn) const {
+  void for_each_out_target(std::size_t slot, Cursor&, Fn&& fn) const {
     for (const vid_t v : out_neighbours(slot)) {
       fn(v);
     }
   }
   template <typename Fn>
-  void for_each_in_neighbour(std::size_t slot, Fn&& fn) const {
+  void for_each_in_neighbour(std::size_t slot, Cursor&, Fn&& fn) const {
     for (const vid_t v : in_neighbours(slot)) {
       fn(v);
     }

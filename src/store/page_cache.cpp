@@ -237,7 +237,11 @@ std::string PageCache::note_access_locked(bool hit) {
 
 PageCacheStats PageCache::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  PageCacheStats out = stats_;
+  out.pinned_pages = static_cast<std::size_t>(
+      std::count_if(frames_.begin(), frames_.end(),
+                    [](const auto& f) { return f.second.pins > 0; }));
+  return out;
 }
 
 std::vector<CacheDegradationEvent> PageCache::degradation_events() const {

@@ -59,6 +59,7 @@ struct PageCacheStats {
   std::size_t resident_pages = 0;
   std::size_t resident_bytes = 0;
   std::size_t peak_resident_bytes = 0;
+  std::size_t pinned_pages = 0;  ///< resident frames with a pin held now
   std::size_t level = 0;  ///< current degradation-ladder rung
 };
 

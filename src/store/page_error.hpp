@@ -86,7 +86,6 @@ class PageError : public std::runtime_error {
 
   [[nodiscard]] PageErrorKind kind() const noexcept { return kind_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] bool has_page() const noexcept { return page_ != kNoPage; }
   [[nodiscard]] std::uint64_t page() const noexcept { return page_; }
   /// Read attempts made before giving up (1 for unretried failures).
   [[nodiscard]] std::size_t attempts() const noexcept { return attempts_; }

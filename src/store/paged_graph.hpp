@@ -1,8 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <exception>
 #include <vector>
 
@@ -24,8 +24,8 @@ namespace ipregel::store {
 /// loaded (seal-verified) at construction and answer out_degree() /
 /// in_degree() without touching the cache. The target arrays are O(E) —
 /// the bytes that don't fit — so neighbour iteration walks their pages
-/// through the PageCache, pinning each page exactly once per contiguous
-/// run of elements.
+/// through the PageCache, each worker through its own Cursor, which keeps
+/// one page pinned across the vertices whose edges lie on it.
 ///
 /// Iteration visits elements in exact CSR array order, which is what
 /// makes a streaming pull gather combine in the same order as the in-RAM
@@ -50,7 +50,6 @@ class PagedGraph {
   PagedGraph(const PagedGraph&) = delete;
   PagedGraph& operator=(const PagedGraph&) = delete;
 
-  [[nodiscard]] const PagedStore& store() const noexcept { return store_; }
   [[nodiscard]] PageCache& cache() const noexcept { return cache_; }
 
   [[nodiscard]] std::size_t num_vertices() const noexcept {
@@ -62,17 +61,11 @@ class PagedGraph {
   [[nodiscard]] std::size_t first_slot() const noexcept {
     return sb_.first_slot;
   }
-  [[nodiscard]] graph::vid_t id_offset() const noexcept {
-    return sb_.id_offset;
-  }
   [[nodiscard]] graph::eid_t num_edges() const noexcept {
     return sb_.num_edges;
   }
   [[nodiscard]] bool has_in_edges() const noexcept {
     return sb_.has_in_edges();
-  }
-  [[nodiscard]] bool has_weights() const noexcept {
-    return sb_.has_weights();
   }
 
   [[nodiscard]] std::size_t slot_of(graph::vid_t id) const noexcept {
@@ -98,69 +91,55 @@ class PagedGraph {
            dynamic_cast<const io::IoError*>(&e) != nullptr;
   }
 
+  /// A worker's edge cursor: the one page it has pinned. Walks whose
+  /// elements stay on that page reuse the pin; moving to another page
+  /// releases it BEFORE pinning the next, so a worker never holds two
+  /// pages and a budget of one page per worker suffices. The engine keeps
+  /// one per pool thread and empties it at the end of every vertex range.
+  using Cursor = PageCache::Pin;
+
   /// Calls `fn(vid_t target)` for every out-neighbour of `slot`, in CSR
-  /// order, streaming the target pages through the cache.
+  /// order, streaming the target pages through `cursor`.
   template <typename Fn>
-  void for_each_out_target(std::size_t slot, Fn&& fn) const {
+  void for_each_out_target(std::size_t slot, Cursor& cursor, Fn&& fn) const {
     for_each_element(Section::kOutTargets, out_offsets_[slot],
-                     out_offsets_[slot + 1], fn);
+                     out_offsets_[slot + 1], cursor, fn);
   }
 
   /// Calls `fn(vid_t source)` for every in-neighbour of `slot`, in CSR
   /// order (identical to CsrGraph::in_neighbours order).
   template <typename Fn>
-  void for_each_in_neighbour(std::size_t slot, Fn&& fn) const {
+  void for_each_in_neighbour(std::size_t slot, Cursor& cursor,
+                             Fn&& fn) const {
     for_each_element(Section::kInTargets, in_offsets_[slot],
-                     in_offsets_[slot + 1], fn);
-  }
-
-  /// Calls `fn(vid_t target, weight_t w)` for every out-edge of `slot`.
-  /// Requires has_weights(); pins one target page and one weight page at
-  /// a time (the cache budget must admit two pinned pages per thread).
-  template <typename Fn>
-  void for_each_out_edge_weighted(std::size_t slot, Fn&& fn) const {
-    const std::uint64_t begin = out_offsets_[slot];
-    const std::uint64_t end = out_offsets_[slot + 1];
-    for (std::uint64_t e = begin; e < end; ++e) {
-      graph::vid_t target;
-      graph::weight_t weight;
-      read_element(Section::kOutTargets, e, target);
-      read_element(Section::kWeights, e, weight);
-      fn(target, weight);
-    }
+                     in_offsets_[slot + 1], cursor, fn);
   }
 
  private:
-  /// Streams elements [begin, end) of a u32 section page by page: one pin
-  /// per touched page, elements delivered in array order. page_bytes is a
-  /// multiple of 8, so no element straddles a page boundary.
+  /// Streams elements [begin, end) of a u32 section page by page through
+  /// the cursor, delivering them in array order. page_bytes is a multiple
+  /// of 8, so no element straddles a page boundary.
   template <typename Fn>
   void for_each_element(Section section, std::uint64_t begin,
-                        std::uint64_t end, Fn& fn) const {
+                        std::uint64_t end, Cursor& cursor, Fn& fn) const {
     const SectionRef& ref = sb_.section(section);
-    const std::size_t page_bytes = store_.page_bytes();
-    const std::size_t per_page = page_bytes / sizeof(graph::vid_t);
+    const std::size_t per_page = store_.page_bytes() / sizeof(graph::vid_t);
     std::uint64_t e = begin;
     while (e < end) {
       const std::uint64_t page_in_section = e / per_page;
       const std::uint64_t first_in_page = page_in_section * per_page;
       const std::uint64_t last = std::min<std::uint64_t>(
           end, first_in_page + per_page);
-      const PageCache::Pin pin =
-          cache_.pin(ref.first_page + page_in_section);
-      const auto* elems = reinterpret_cast<const graph::vid_t*>(pin.data());
+      const std::uint64_t page = ref.first_page + page_in_section;
+      if (cursor.data() == nullptr || cursor.page() != page) {
+        cursor = Cursor{};  // unpin first: never two pages per worker
+        cursor = cache_.pin(page);
+      }
+      const auto* elems = reinterpret_cast<const graph::vid_t*>(cursor.data());
       for (; e < last; ++e) {
         fn(elems[e - first_in_page]);
       }
     }
-  }
-
-  template <typename T>
-  void read_element(Section section, std::uint64_t index, T& out) const {
-    const SectionRef& ref = sb_.section(section);
-    const std::size_t per_page = store_.page_bytes() / sizeof(T);
-    const PageCache::Pin pin = cache_.pin(ref.first_page + index / per_page);
-    std::memcpy(&out, pin.data() + (index % per_page) * sizeof(T), sizeof(T));
   }
 
   const PagedStore& store_;

@@ -75,10 +75,6 @@ class PageWriter {
     return ref;
   }
 
-  [[nodiscard]] std::uint64_t pages_written() const noexcept {
-    return page_index_;
-  }
-
  private:
   void seal_page() {
     // Zero the unused tail so the seal covers deterministic bytes.

@@ -83,6 +83,7 @@ TEST(PageCache, PinsBlockEvictionAndBudgetFailureIsTyped) {
   std::vector<PageCache::Pin> pins;
   pins.push_back(cache.pin(0));
   pins.push_back(cache.pin(1));
+  EXPECT_EQ(cache.stats().pinned_pages, 2u);
   // Both frames pinned: a third distinct page cannot be admitted.
   try {
     (void)cache.pin(2);
@@ -92,8 +93,10 @@ TEST(PageCache, PinsBlockEvictionAndBudgetFailureIsTyped) {
   }
   // Re-pinning a resident page is fine (no new frame needed) …
   { const PageCache::Pin again = cache.pin(0); }
+  EXPECT_EQ(cache.stats().pinned_pages, 2u);  // frames, not pins
   // … and releasing one pin makes room again.
   pins.pop_back();
+  EXPECT_EQ(cache.stats().pinned_pages, 1u);
   EXPECT_NO_THROW((void)cache.pin(2));
   EXPECT_TRUE(cache.contains(0));  // still pinned, never evicted
   const PageCacheStats s = cache.stats();
@@ -115,6 +118,7 @@ TEST(PageCache, UnmatchedUnpinIsSaturating) {
   a = PageCache::Pin();
   b = PageCache::Pin();
   c = PageCache::Pin();
+  EXPECT_EQ(cache.stats().pinned_pages, 0u);
   // The frame is unpinned and evictable — stream enough pages to force it
   // out; if the pin count had gone negative this would wedge or throw.
   for (std::uint64_t p = 1; p < 9; ++p) {

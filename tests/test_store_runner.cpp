@@ -248,6 +248,55 @@ TEST(StreamingRunner, UnservablePageFailsTypedNotHung) {
     const RunOutcome out = runner.run_checked(mode);
     ASSERT_TRUE(out.error.has_value());
     EXPECT_EQ(out.error->kind(), RunErrorKind::kPageError);
+    // Every worker's cursor was released as the failure unwound its range.
+    EXPECT_EQ(cache.stats().pinned_pages, 0u);
+  }
+}
+
+/// One paged run at a budget of exactly one page per worker and no
+/// read-ahead, checked against the engine's values: a cursor that pinned
+/// its next page before releasing the last would fail kBudgetExhausted.
+/// Pins are per page a worker walks onto, not per vertex, and none
+/// survives run().
+template <typename Program, CombinerKind Combiner>
+void expect_one_pin_per_worker(const CsrGraph& g, const Program& program,
+                               StreamMode mode, Section walked) {
+  Engine<Program, Combiner, false> engine(g, program);
+  (void)engine.run();
+  constexpr std::size_t kCursorPage = 4 * kPage;
+  FaultyVfs vfs;
+  write_store(g, kPath, &vfs, {.page_bytes = kCursorPage});
+  const PagedStore store(vfs, kPath);
+  const std::size_t pages = store.superblock().section(walked).num_pages;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PageCache cache(store, {.budget_bytes = threads * kCursorPage,
+                            .read_ahead_pages = 0});
+    PagedGraph pg(store, cache);
+    StreamingRunner<Program> runner(pg, program, {.threads = threads});
+    const PagedRunResult out = runner.run(mode);
+    for (std::size_t s = g.first_slot(); s < g.num_slots(); ++s) {
+      ASSERT_EQ(runner.values()[s], engine.values()[s]) << "slot " << s;
+    }
+    EXPECT_LE(out.cache.hits + out.cache.misses,
+              pages * out.run.supersteps * threads);
+    EXPECT_EQ(cache.stats().pinned_pages, 0u);
+  }
+}
+
+TEST(StreamingRunner, CursorPinsOnePagePerWorker) {
+  const CsrGraph g = make_graph(graph::rmat(8, 8, {.seed = 21}));
+  {
+    SCOPED_TRACE("pagerank pull");
+    expect_one_pin_per_worker<apps::PageRank, CombinerKind::kPull>(
+        g, apps::PageRank{.rounds = 10}, StreamMode::kPull,
+        Section::kInTargets);
+  }
+  {
+    SCOPED_TRACE("hashmin push");
+    expect_one_pin_per_worker<apps::Hashmin, CombinerKind::kSpinlockPush>(
+        g, apps::Hashmin{}, StreamMode::kPush, Section::kOutTargets);
   }
 }
 
@@ -364,6 +413,8 @@ TEST(StreamingRunner, CheckpointRejectedIntegrityTiersRun) {
   for (std::size_t s = g.first_slot(); s < g.num_slots(); ++s) {
     ASSERT_EQ(runner.values()[s], engine.values()[s]) << "slot " << s;
   }
+  // The shadow tier's barrier-side gather released its cursor too.
+  EXPECT_EQ(cache.stats().pinned_pages, 0u);
 }
 
 TEST(StreamingRunner, RunnerIsReentrant) {

@@ -20,7 +20,7 @@
 
 namespace {
 
-using ipregel::PushMailboxes;
+using ipregel::Mailboxes;
 using ipregel::runtime::SpinLock;
 
 constexpr std::size_t kSlots = 1 << 16;
@@ -33,9 +33,9 @@ void combine_min(std::uint64_t& old, const std::uint64_t& incoming) {
 
 template <typename Lock>
 void BM_PushDeliver(benchmark::State& state) {
-  static PushMailboxes<std::uint64_t, Lock>* boxes = nullptr;
+  static Mailboxes<std::uint64_t, Lock>* boxes = nullptr;
   if (state.thread_index() == 0) {
-    boxes = new PushMailboxes<std::uint64_t, Lock>(kSlots);
+    boxes = new Mailboxes<std::uint64_t, Lock>(kSlots);
   }
   // Each thread walks the slots with a different stride so contention is
   // incidental (as in real deliveries), not pathological.
@@ -58,9 +58,9 @@ template <typename Lock>
 void BM_PushDeliverHotSpot(benchmark::State& state) {
   // All threads hammer 8 slots: the high-contention regime of a hub vertex
   // in a scale-free graph.
-  static PushMailboxes<std::uint64_t, Lock>* boxes = nullptr;
+  static Mailboxes<std::uint64_t, Lock>* boxes = nullptr;
   if (state.thread_index() == 0) {
-    boxes = new PushMailboxes<std::uint64_t, Lock>(kSlots);
+    boxes = new Mailboxes<std::uint64_t, Lock>(kSlots);
   }
   std::uint64_t value = 0;
   std::size_t slot = 0;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,15 @@ enum class CombinerKind {
       return "broadcast";
   }
   return "invalid";
+}
+
+/// The direction a superstep's messages travel in. Push delivers into the
+/// recipient's mailbox (sections 6.1/6.3); pull arms the sender's own
+/// outbox, which the recipients gather from at the next superstep (6.2).
+enum class Direction : std::uint8_t { kPush, kPull };
+
+[[nodiscard]] constexpr std::string_view to_string(Direction d) noexcept {
+  return d == Direction::kPull ? "pull" : "push";
 }
 
 /// One of the six framework versions of section 7.2: a combiner choice,
@@ -115,6 +125,14 @@ struct EngineOptions {
   /// Failure-domain guards: superstep/run watchdog timeouts and the
   /// tracked-memory budget (all disabled by default).
   RunGuards guards{};
+  /// Pins a push combiner with the selection bypass to push on every
+  /// superstep: the paper's fixed version, as its Fig. 7 measures it. When
+  /// false, such an engine running a broadcast-only program on a graph
+  /// with in-edges picks each superstep's direction at the barrier before
+  /// it: push while the previous superstep sent few messages, pull once it
+  /// sent many (direction optimisation; DESIGN.md §17). Ignored by every
+  /// other version.
+  bool fixed_direction = false;
 };
 
 /// Per-superstep execution record.
@@ -123,6 +141,7 @@ struct SuperstepStats {
   std::size_t remaining_active = 0;   ///< vertices that did not vote to halt
   std::size_t messages_sent = 0;      ///< send/broadcast message deliveries
   double seconds = 0.0;
+  Direction direction = Direction::kPush;  ///< how those messages travelled
 };
 
 /// Result of Engine::run. Timings cover the superstep loop only, matching

@@ -110,6 +110,14 @@ concept SpanTopology = requires(const T& g, std::size_t slot) {
 /// its id->slot mapping (direct = offset 0; desolate = offset 0 with padded
 /// slots), so a single subtraction covers all three modes by construction.
 ///
+/// Direction optimisation needs no template parameter either: a push
+/// engine with the selection bypass running a broadcast-only program on a
+/// graph with in-edges sends each superstep by push or by pull, chosen at
+/// the barrier before it from how many messages the last supersteps sent
+/// (see next_direction). Both directions fill the same Mailboxes, and a
+/// generation is read the way it was filled; EngineOptions::fixed_direction
+/// pins the paper's always-push behaviour.
+///
 /// Invalid combinations are rejected at compile time: the pull combiner
 /// requires a broadcast-only program, and the selection bypass requires a
 /// program whose vertices all vote to halt every superstep (otherwise
@@ -290,6 +298,12 @@ class Engine {
       frontier_.emplace(slots, this->pool().size(),
                         /*with_dedup_bitmap=*/Combiner == CombinerKind::kPull);
     }
+    if constexpr (kDirectional) {
+      adaptive_ = !options_.fixed_direction && graph.has_in_edges();
+      const auto edges = static_cast<double>(graph.num_edges());
+      pull_above_ = edges * kPullAbove;
+      push_below_ = edges * kPushBelow;
+    }
     counters_.resize(this->pool().size());
     aggregator_.init(this->pool().size());
   }
@@ -378,9 +392,8 @@ class Engine {
                          guard_duration(options_.guards.superstep_seconds);
       }
       const unsigned cur = static_cast<unsigned>(superstep_ & 1);
-      const unsigned nxt = cur ^ 1u;
       cur_gen_ = cur;
-      nxt_gen_ = nxt;
+      nxt_gen_ = cur ^ 1u;
       // Integrity hooks at the top of the superstep, in dependency order:
       // an at-rest flip lands first (simulating corruption during the
       // barrier gap), the checksum verification runs against it (the
@@ -402,23 +415,20 @@ class Engine {
       }
 
       // --- selection + local computation + communication -----------------
-      const bool use_frontier = Bypass && superstep_ > 0;
-      if (use_frontier) {
+      if (superstep_ > 0 && frontier_selects()) {
         if constexpr (Bypass) {
           // The frontier *is* the selection: every entry received a
           // message, so threads run every vertex of their equal share.
           const auto& work = frontier_->current();
           for_indices(workers, work.size(),
                       [&](std::size_t tid, std::size_t i) {
-                        process_vertex(work[i], tid, cur, nxt);
+                        process_vertex<kCombinerDirection>(work[i], tid, cur);
                       });
         }
+      } else if (read_direction() == Direction::kPull) {
+        scan_all<Direction::kPull>(workers, cur);
       } else {
-        const std::size_t first = graph_.first_slot();
-        for_indices(workers, graph_.num_slots() - first,
-                    [&](std::size_t tid, std::size_t i) {
-                      process_vertex(first + i, tid, cur, nxt);
-                    });
+        scan_all<Direction::kPush>(workers, cur);
       }
 
       // --- superstep epilogue --------------------------------------------
@@ -455,8 +465,8 @@ class Engine {
         executed += c.executed;
       }
       aggregator_.end_superstep();
-      if constexpr (Combiner == CombinerKind::kPull) {
-        // Wipe the consumed generation's armed flags so halted vertices
+      if (read_direction() == Direction::kPull) {
+        // Wipe the gathered generation's armed flags so halted vertices
         // cannot leak a stale broadcast two supersteps later.
         const std::size_t first = graph_.first_slot();
         workers.parallel_for(graph_.num_slots() - first,
@@ -484,7 +494,12 @@ class Engine {
       result.total_executed_vertices += executed;
       if (options_.collect_superstep_stats) {
         result.per_superstep.push_back(SuperstepStats{
-            executed, active, sent, step_timer.seconds()});
+            executed, active, sent, step_timer.seconds(), send_direction()});
+      }
+      if constexpr (kDirectional) {
+        read_dir_ = send_dir_;
+        send_dir_ = next_direction(sent);
+        last_sent_ = sent;
       }
       ++superstep_;
       result.supersteps = superstep_;
@@ -572,17 +587,21 @@ class Engine {
     snap.halted = halted_;
     if (mode == ft::CheckpointMode::kHeavyweight) {
       // Generation (superstep_ & 1) holds the messages the next superstep
-      // consumes — for push combiners the combined inboxes, for pull the
+      // reads — for push combiners the combined inboxes, for pull the
       // armed outboxes; both expose the same raw view.
       const unsigned gen = static_cast<unsigned>(superstep_ & 1);
-      const auto messages = mail_->messages(gen);
-      const auto flags = mail_->flags(gen);
-      snap.inbox.resize(slots * sizeof(Msg));
-      std::memcpy(snap.inbox.data(), messages.data(), snap.inbox.size());
-      snap.inbox_flags.assign(flags.begin(), flags.end());
-      if constexpr (Bypass) {
-        const auto& work = frontier_->current();
-        snap.frontier.assign(work.begin(), work.end());
+      if (kDirectional && read_direction() == Direction::kPull) {
+        capture_gathered(gen, snap);
+      } else {
+        const auto messages = mail_->messages(gen);
+        const auto flags = mail_->flags(gen);
+        snap.inbox.resize(slots * sizeof(Msg));
+        std::memcpy(snap.inbox.data(), messages.data(), snap.inbox.size());
+        snap.inbox_flags.assign(flags.begin(), flags.end());
+        if constexpr (Bypass) {
+          const auto& work = frontier_->current();
+          snap.frontier.assign(work.begin(), work.end());
+        }
       }
       if constexpr (HasAggregator<Program>) {
         using Agg = typename Program::aggregate_type;
@@ -684,6 +703,9 @@ class Engine {
     if constexpr (Bypass) {
       frontier_->reset();
     }
+    // A restored generation is always in push layout (capture_gathered),
+    // and the resumed superstep sends like a first one: by push.
+    reset_directions();
     aggregator_.init(pool().size());
     reset_checkpoint_pacing();
     const unsigned gen = static_cast<unsigned>(superstep_ & 1);
@@ -716,12 +738,26 @@ class Engine {
   }
 
  private:
-  using LockType =
-      std::conditional_t<Combiner == CombinerKind::kMutexPush, std::mutex,
-                         runtime::SpinLock>;
-  using Mailboxes =
-      std::conditional_t<Combiner == CombinerKind::kPull, PullOutboxes<Msg>,
-                         PushMailboxes<Msg, LockType>>;
+  using LockType = std::conditional_t<
+      Combiner == CombinerKind::kMutexPush, std::mutex,
+      std::conditional_t<Combiner == CombinerKind::kPull, NoLock,
+                         runtime::SpinLock>>;
+  using MailStore = Mailboxes<Msg, LockType>;
+
+  /// Engines that pick each superstep's send direction at the barrier (see
+  /// next_direction): push combiners with the selection bypass, running a
+  /// broadcast-only program. Every other engine sends in its combiner's
+  /// one direction, a compile-time constant.
+  static constexpr bool kDirectional =
+      Bypass && Combiner != CombinerKind::kPull && Program::broadcast_only;
+  static constexpr Direction kCombinerDirection =
+      Combiner == CombinerKind::kPull ? Direction::kPull : Direction::kPush;
+  /// Direction-switch thresholds, as fractions of |E| messages a superstep
+  /// is expected to send. Pull above kPullAbove, back to push below
+  /// kPushBelow; the gap is the hysteresis. Calibrated by
+  /// bench/ablation_selection's BM_SendReadCycle sweep.
+  static constexpr double kPullAbove = 0.20;
+  static constexpr double kPushBelow = 0.15;
 
   using Cursor = typename Topology::Cursor;
   /// One per pool thread: the superstep's counters, and the cursor the
@@ -1108,9 +1144,8 @@ class Engine {
       out.halted.assign(parts, 0);
       out.messages.assign(parts, 0);
       const unsigned gen = static_cast<unsigned>(superstep_ & 1);
-      const auto msgs =
-          static_cast<const Mailboxes&>(*mail_).messages(gen);
-      const auto flags = static_cast<const Mailboxes&>(*mail_).flags(gen);
+      const auto msgs = static_cast<const MailStore&>(*mail_).messages(gen);
+      const auto flags = static_cast<const MailStore&>(*mail_).flags(gen);
       pool().parallel_for(parts, [&](std::size_t, runtime::Range r) {
         for (std::size_t p = r.begin; p < r.end; ++p) {
           const std::size_t begin = first + p * integrity::kSectionSlots;
@@ -1276,7 +1311,7 @@ class Engine {
         s.slot = slot;
         s.before = values_[slot];
         s.was_halted = halted_[slot] != 0;
-        if constexpr (Combiner == CombinerKind::kPull) {
+        if (read_direction() == Direction::kPull) {
           if (superstep_ > 0) {
             try {
               s.has_msg = gather(cur_gen_, slot, counters_[0].cursor, s.msg);
@@ -1309,11 +1344,8 @@ class Engine {
       for (const ShadowSample& s : shadow_) {
         bool executed = true;
         if (superstep_ > 0) {
-          if constexpr (Bypass) {
-            executed = s.has_msg;
-          } else {
-            executed = s.has_msg || !s.was_halted;
-          }
+          executed = frontier_selects() ? s.has_msg
+                                        : s.has_msg || !s.was_halted;
         }
         Value expect = s.before;
         bool voted = s.was_halted;
@@ -1548,14 +1580,27 @@ class Engine {
     if constexpr (Bypass) {
       frontier_->reset();
     }
+    reset_directions();
     aggregator_.init(pool().size());
     reset_checkpoint_pacing();
     integrity_reset();
   }
 
-  /// Selection check + message consumption + compute for one vertex.
-  void process_vertex(std::size_t slot, std::size_t tid, unsigned cur,
-                      unsigned /*nxt*/) {
+  /// Scan-all selection: every vertex is checked, reading generation `cur`
+  /// the way it was filled.
+  template <Direction Read>
+  void scan_all(runtime::ThreadPool& workers, unsigned cur) {
+    const std::size_t first = graph_.first_slot();
+    for_indices(workers, graph_.num_slots() - first,
+                [&](std::size_t tid, std::size_t i) {
+                  process_vertex<Read>(first + i, tid, cur);
+                });
+  }
+
+  /// Selection check + message read + compute for one vertex. `Read` is
+  /// how generation `cur` was filled: gather outboxes or consume the inbox.
+  template <Direction Read>
+  void process_vertex(std::size_t slot, std::size_t tid, unsigned cur) {
     if (fault_active_) {
       // Deterministic crash injection: after the configured number of
       // compute calls this superstep, every worker bails at its next
@@ -1576,7 +1621,7 @@ class Engine {
     bool voted = false;
     try {
       bool has = false;
-      if constexpr (Combiner == CombinerKind::kPull) {
+      if constexpr (Read == Direction::kPull) {
         if (superstep_ > 0) {
           has = gather(cur, slot, counters_[tid].cursor, combined);
         }
@@ -1624,6 +1669,82 @@ class Engine {
     return has;
   }
 
+  // --- direction optimisation -----------------------------------------
+
+  /// How this superstep's broadcasts travel, and how the generation it
+  /// reads was filled (and so must be read: consumed or gathered).
+  [[nodiscard]] Direction send_direction() const noexcept {
+    if constexpr (kDirectional) {
+      return send_dir_;
+    } else {
+      return kCombinerDirection;
+    }
+  }
+  [[nodiscard]] Direction read_direction() const noexcept {
+    if constexpr (kDirectional) {
+      return read_dir_;
+    } else {
+      return kCombinerDirection;
+    }
+  }
+
+  /// True when the bypass frontier is this superstep's selection. After a
+  /// directional engine's pull superstep nobody claimed the recipients,
+  /// so the superstep scans every vertex and gathers, as kPull does.
+  [[nodiscard]] bool frontier_selects() const noexcept {
+    return Bypass && (!kDirectional || read_dir_ == Direction::kPush);
+  }
+
+  /// The next superstep's send direction, from this superstep's message
+  /// count `sent`. Pushing a message costs one locked delivery; pulling
+  /// costs the next superstep one scan of |V| and one flag read per
+  /// in-edge, whatever was sent. So the next superstep pulls when it is
+  /// expected to send over kPullAbove·|E| messages and pushes again below
+  /// kPushBelow·|E|. The expectation extrapolates the last two counts
+  /// geometrically (sent·sent/last_sent_): a wave that grows or dies by
+  /// 10x a superstep, as on scale-free graphs, is caught one superstep
+  /// earlier than by `sent` alone; a steady wave is just `sent`. The first
+  /// superstep (and the first after a restore) pushes, so a one-source
+  /// program such as SSSP never pays a full scan.
+  [[nodiscard]] Direction next_direction(std::size_t sent) const noexcept {
+    if (!adaptive_) {
+      return Direction::kPush;
+    }
+    const auto now = static_cast<double>(sent);
+    const double expected =
+        last_sent_ == 0 ? now : now * now / static_cast<double>(last_sent_);
+    if (send_dir_ == Direction::kPush) {
+      return expected > pull_above_ ? Direction::kPull : Direction::kPush;
+    }
+    return expected < push_below_ ? Direction::kPush : Direction::kPull;
+  }
+
+  void reset_directions() noexcept {
+    read_dir_ = kCombinerDirection;
+    send_dir_ = kCombinerDirection;
+    last_sent_ = 0;
+  }
+
+  /// Heavyweight capture of a pull-filled generation in the push layout
+  /// every snapshot of this version uses: each slot's gathered message
+  /// becomes its inbox, and the frontier is exactly the flagged slots.
+  /// A resume (fixed or adaptive) then consumes it like any push barrier.
+  void capture_gathered(unsigned gen, ft::EngineSnapshot& snap) const {
+    const std::size_t slots = graph_.num_slots();
+    snap.inbox.assign(slots * sizeof(Msg), 0);
+    snap.inbox_flags.assign(slots, 0);
+    snap.frontier.clear();
+    Cursor cursor{};
+    for (std::size_t slot = graph_.first_slot(); slot < slots; ++slot) {
+      Msg m{};
+      if (gather(gen, slot, cursor, m)) {
+        std::memcpy(snap.inbox.data() + slot * sizeof(Msg), &m, sizeof(Msg));
+        snap.inbox_flags[slot] = 1;
+        snap.frontier.push_back(slot);
+      }
+    }
+  }
+
   /// Maps the exception in flight out of a vertex hook onto the run-
   /// failure taxonomy: RunError passes through; a topology that could not
   /// serve its edges (a paged graph's PageError or io::IoError, power loss
@@ -1655,27 +1776,41 @@ class Engine {
   }
 
   /// A pull broadcast arms the sender's outbox and reads only the out-
-  /// degree, never the targets (a paged topology streams no page for it).
+  /// degree, never the targets (a paged topology streams no page for it),
+  /// except that the pull combiner's bypass claims them in its frontier.
+  /// A directional engine's pull superstep claims nothing: the next
+  /// superstep finds its recipients by scanning.
   void do_broadcast(std::size_t slot, std::size_t tid, const Msg& msg) {
     const std::size_t degree = graph_.out_degree(slot);
     Cursor& cursor = counters_[tid].cursor;
-    if constexpr (Combiner == CombinerKind::kPull) {
+    if (send_direction() == Direction::kPull) {
       if (degree != 0) {
-        mail_->broadcast(nxt_gen_, slot, msg);
+        mail_->arm(nxt_gen_, slot, msg);
       }
-      if constexpr (Bypass) {
+      if constexpr (Bypass && Combiner == CombinerKind::kPull) {
         // Pull senders never touch recipient state, so recipients are
         // claimed through the frontier's dedup bitmap.
         graph_.for_each_out_target(slot, cursor, [&](graph::vid_t dst) {
           frontier_->add(graph_.slot_of(dst), tid);
         });
       }
-    } else {
-      graph_.for_each_out_target(slot, cursor, [&](graph::vid_t dst) {
-        deliver_push(graph_.slot_of(dst), tid, msg);
-      });
+    } else if constexpr (Combiner != CombinerKind::kPull) {
+      push_to_out_neighbours(slot, tid, msg, cursor);
     }
     counters_[tid].sent += degree;
+  }
+
+  /// The push half of a broadcast, kept out of line: inlined, its lock and
+  /// frontier code made do_broadcast too big to inline into compute(),
+  /// which cost a direction-optimising engine's pull supersteps ~25% over
+  /// kPull's for the same work.
+  [[gnu::noinline]] void push_to_out_neighbours(std::size_t slot,
+                                                std::size_t tid,
+                                                const Msg& msg,
+                                                Cursor& cursor) {
+    graph_.for_each_out_target(slot, cursor, [&](graph::vid_t dst) {
+      deliver_push(graph_.slot_of(dst), tid, msg);
+    });
   }
 
   void do_send(graph::vid_t dst, std::size_t tid, const Msg& msg) {
@@ -1712,7 +1847,7 @@ class Engine {
 
   std::vector<Value> values_;
   std::vector<std::uint8_t> halted_;
-  std::optional<Mailboxes> mail_;
+  std::optional<MailStore> mail_;
   std::optional<Frontier> frontier_;
   std::vector<ThreadState> counters_;
   detail::AggregatorState<Program> aggregator_;
@@ -1720,6 +1855,17 @@ class Engine {
   std::size_t superstep_ = 0;
   unsigned cur_gen_ = 0;
   unsigned nxt_gen_ = 1;
+
+  // Direction state of a kDirectional engine (see next_direction): how
+  // the generation this superstep reads was filled, how this superstep
+  // sends, the previous superstep's message count, and the switch
+  // thresholds in messages.
+  bool adaptive_ = false;
+  Direction read_dir_ = kCombinerDirection;
+  Direction send_dir_ = kCombinerDirection;
+  std::size_t last_sent_ = 0;
+  double pull_above_ = 0.0;
+  double push_below_ = 0.0;
 
   // Fault injection (options_.fault): armed per-superstep, tripped once.
   bool fault_active_ = false;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "apps/hashmin.hpp"
 #include "apps/pagerank.hpp"
@@ -245,6 +246,83 @@ TEST(Engine, MessageCountMatchesBroadcastFanout) {
   ASSERT_GE(r.per_superstep.size(), 2u);
   EXPECT_EQ(r.per_superstep[0].messages_sent, 7u + 7u)
       << "superstep 0: everyone broadcasts its own id";
+}
+
+/// Directions of a run's supersteps, as one letter each (P push, L pull).
+std::string directions(const RunResult& r) {
+  std::string out;
+  for (const SuperstepStats& s : r.per_superstep) {
+    out += s.direction == Direction::kPull ? 'L' : 'P';
+  }
+  return out;
+}
+
+TEST(Engine, DirectionOptimisingHashminPullsItsDenseWaveAndPushesItsTail) {
+  // Lattice Hashmin: superstep 0 broadcasts on every edge and the min-label
+  // wave stays dense for a while, so the engine pulls; as the wave thins
+  // it switches back to push for the tail. Values equal the fixed run's.
+  const CsrGraph g = make_graph(graph::grid_2d(30, 30));
+  EngineOptions options{.threads = 2, .collect_superstep_stats = true};
+  Engine<apps::Hashmin, CombinerKind::kSpinlockPush, true> adaptive(
+      g, {}, options);
+  const RunResult r = adaptive.run();
+  const std::string dirs = directions(r);
+  ASSERT_EQ(dirs.size(), r.supersteps);
+  EXPECT_EQ(dirs.front(), 'P') << "superstep 0 always pushes: " << dirs;
+  EXPECT_EQ(dirs[1], 'L') << "a full superstep 0 turns to pull: " << dirs;
+  EXPECT_EQ(dirs.back(), 'P') << "the tail pushes: " << dirs;
+  const std::size_t last_pull = dirs.rfind('L');
+  EXPECT_EQ(dirs.find('L', 1), 1u);
+  EXPECT_EQ(dirs.substr(1, last_pull), std::string(last_pull, 'L'))
+      << "one pull phase, then push to the end: " << dirs;
+
+  options.fixed_direction = true;
+  Engine<apps::Hashmin, CombinerKind::kSpinlockPush, true> fixed(g, {},
+                                                                  options);
+  const RunResult f = fixed.run();
+  EXPECT_EQ(directions(f), std::string(f.supersteps, 'P'));
+  ASSERT_EQ(f.supersteps, r.supersteps);
+  for (std::size_t s = 0; s < r.supersteps; ++s) {
+    EXPECT_EQ(r.per_superstep[s].executed_vertices,
+              f.per_superstep[s].executed_vertices);
+    EXPECT_EQ(r.per_superstep[s].messages_sent,
+              f.per_superstep[s].messages_sent);
+  }
+  EXPECT_TRUE(std::equal(adaptive.values().begin(), adaptive.values().end(),
+                         fixed.values().begin(), fixed.values().end()));
+}
+
+TEST(Engine, DirectionOptimisingSsspOnlyPushes) {
+  // One source on a lattice: the wavefront never carries a sizeable share
+  // of |E|, so no superstep pays a full scan.
+  const CsrGraph g = make_graph(graph::grid_2d(30, 30));
+  Engine<apps::Sssp, CombinerKind::kMutexPush, true> engine(
+      g, apps::Sssp{.source = 0},
+      EngineOptions{.threads = 2, .collect_superstep_stats = true});
+  const RunResult r = engine.run();
+  EXPECT_GT(r.supersteps, 30u);
+  EXPECT_EQ(directions(r), std::string(r.supersteps, 'P'));
+}
+
+TEST(Engine, DirectionIsFixedWithoutInEdgesAndForOtherVersions) {
+  // Without in-edge lists nothing can gather, so the engine keeps pushing;
+  // the pull combiner always pulls; scan-all push always pushes.
+  const EdgeList e = graph::grid_2d(12, 12);
+  const CsrGraph out_only = graph::CsrGraph::build(e);
+  const EngineOptions options{.collect_superstep_stats = true};
+  Engine<apps::Hashmin, CombinerKind::kSpinlockPush, true> no_in(
+      out_only, {}, options);
+  const RunResult a = no_in.run();
+  EXPECT_EQ(directions(a), std::string(a.supersteps, 'P'));
+
+  const CsrGraph g = make_graph(e);
+  Engine<apps::Hashmin, CombinerKind::kPull, true> pull(g, {}, options);
+  const RunResult b = pull.run();
+  EXPECT_EQ(directions(b), std::string(b.supersteps, 'L'));
+  Engine<apps::Hashmin, CombinerKind::kSpinlockPush, false> scan(g, {},
+                                                                 options);
+  const RunResult c = scan.run();
+  EXPECT_EQ(directions(c), std::string(c.supersteps, 'P'));
 }
 
 }  // namespace

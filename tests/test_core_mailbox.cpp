@@ -1,5 +1,6 @@
 // Unit tests for the single-message mailboxes (paper sections 6.1-6.3):
-// push mailboxes under both lock flavours and the pull outboxes.
+// push delivery under both lock flavours, pull arming on the lock-free
+// store, and both directions sharing one store.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,7 @@
 
 namespace {
 
-using ipregel::PullOutboxes;
-using ipregel::PushMailboxes;
+using ipregel::Mailboxes;
 using ipregel::runtime::SpinLock;
 
 void combine_min(std::uint32_t& old, const std::uint32_t& incoming) {
@@ -28,7 +28,7 @@ using LockTypes = ::testing::Types<std::mutex, SpinLock>;
 TYPED_TEST_SUITE(PushMailboxTest, LockTypes);
 
 TYPED_TEST(PushMailboxTest, FirstDeliveryFillsTheSlot) {
-  PushMailboxes<std::uint32_t, TypeParam> boxes(8);
+  Mailboxes<std::uint32_t, TypeParam> boxes(8);
   EXPECT_TRUE(boxes.deliver(0, 3, 42u, combine_min))
       << "first delivery reports an empty mailbox";
   EXPECT_TRUE(boxes.has_message(0, 3));
@@ -38,7 +38,7 @@ TYPED_TEST(PushMailboxTest, FirstDeliveryFillsTheSlot) {
 }
 
 TYPED_TEST(PushMailboxTest, SecondDeliveryCombines) {
-  PushMailboxes<std::uint32_t, TypeParam> boxes(8);
+  Mailboxes<std::uint32_t, TypeParam> boxes(8);
   EXPECT_TRUE(boxes.deliver(0, 1, 10u, combine_min));
   EXPECT_FALSE(boxes.deliver(0, 1, 5u, combine_min));
   EXPECT_FALSE(boxes.deliver(0, 1, 20u, combine_min));
@@ -48,7 +48,7 @@ TYPED_TEST(PushMailboxTest, SecondDeliveryCombines) {
 }
 
 TYPED_TEST(PushMailboxTest, ConsumeClearsTheSlot) {
-  PushMailboxes<std::uint32_t, TypeParam> boxes(4);
+  Mailboxes<std::uint32_t, TypeParam> boxes(4);
   boxes.deliver(1, 2, 7u, combine_min);
   std::uint32_t out = 0;
   EXPECT_TRUE(boxes.consume(1, 2, out));
@@ -59,7 +59,7 @@ TYPED_TEST(PushMailboxTest, ConsumeClearsTheSlot) {
 TYPED_TEST(PushMailboxTest, GenerationsAreIndependent) {
   // The BSP rule: generation g (being consumed) and generation g^1 (being
   // filled) must never alias.
-  PushMailboxes<std::uint32_t, TypeParam> boxes(4);
+  Mailboxes<std::uint32_t, TypeParam> boxes(4);
   boxes.deliver(0, 0, 1u, combine_min);
   boxes.deliver(1, 0, 2u, combine_min);
   std::uint32_t out = 0;
@@ -70,7 +70,7 @@ TYPED_TEST(PushMailboxTest, GenerationsAreIndependent) {
 }
 
 TYPED_TEST(PushMailboxTest, ResetEmptiesBothGenerations) {
-  PushMailboxes<std::uint32_t, TypeParam> boxes(4);
+  Mailboxes<std::uint32_t, TypeParam> boxes(4);
   boxes.deliver(0, 0, 1u, combine_min);
   boxes.deliver(1, 1, 2u, combine_min);
   boxes.reset();
@@ -82,7 +82,7 @@ TYPED_TEST(PushMailboxTest, ResetEmptiesBothGenerations) {
 TYPED_TEST(PushMailboxTest, ConcurrentDeliveriesCombineAll) {
   // The data race the locks exist for: hammer one mailbox from several
   // threads with a sum combiner; nothing may be lost.
-  PushMailboxes<std::uint32_t, TypeParam> boxes(1);
+  Mailboxes<std::uint32_t, TypeParam> boxes(1);
   constexpr int kThreads = 4;
   constexpr int kMessages = 25'000;
   std::vector<std::thread> threads;
@@ -107,7 +107,7 @@ TYPED_TEST(PushMailboxTest, ConcurrentDeliveriesCombineAll) {
 TYPED_TEST(PushMailboxTest, ExactlyOneFirstDeliveryUnderContention) {
   // The selection bypass hinges on deliver() reporting "was empty" exactly
   // once per generation per mailbox.
-  PushMailboxes<std::uint32_t, TypeParam> boxes(64);
+  Mailboxes<std::uint32_t, TypeParam> boxes(64);
   constexpr int kThreads = 4;
   std::vector<int> firsts(kThreads, 0);
   std::vector<std::thread> threads;
@@ -131,17 +131,36 @@ TYPED_TEST(PushMailboxTest, ExactlyOneFirstDeliveryUnderContention) {
 }
 
 TEST(PushMailboxSizes, LockBytesMatchThePaper) {
-  EXPECT_EQ((PushMailboxes<std::uint32_t, std::mutex>::lock_bytes_per_vertex()),
+  EXPECT_EQ((Mailboxes<std::uint32_t, std::mutex>::lock_bytes_per_vertex()),
             40u);
-  EXPECT_EQ((PushMailboxes<std::uint32_t, SpinLock>::lock_bytes_per_vertex()),
+  EXPECT_EQ((Mailboxes<std::uint32_t, SpinLock>::lock_bytes_per_vertex()),
             4u);
+  EXPECT_EQ((Mailboxes<std::uint32_t>::lock_bytes_per_vertex()), 0u)
+      << "a pull-only store allocates no lock";
 }
 
-TEST(PullOutboxes, BroadcastThenFetch) {
-  PullOutboxes<double> out(8);
-  EXPECT_FALSE(out.armed(0, 2));
-  out.broadcast(0, 2, 1.5);
-  EXPECT_TRUE(out.armed(0, 2));
+TYPED_TEST(PushMailboxTest, OneGenerationServesBothDirections) {
+  // A direction-optimising engine fills a generation by pull one superstep
+  // and by push another: the same flags mean "armed outbox" or "inbox".
+  Mailboxes<std::uint32_t, TypeParam> boxes(4);
+  boxes.arm(1, 2, 9u);
+  std::uint32_t out = 0;
+  ASSERT_TRUE(boxes.fetch(1, 2, out));
+  EXPECT_EQ(out, 9u);
+  ASSERT_TRUE(boxes.fetch(1, 2, out)) << "fetch does not consume";
+  boxes.clear_range(1, 0, 4);
+  EXPECT_FALSE(boxes.has_message(1, 2));
+  EXPECT_TRUE(boxes.deliver(1, 2, 5u, combine_min))
+      << "a wiped pull generation is an empty inbox";
+  ASSERT_TRUE(boxes.consume(1, 2, out));
+  EXPECT_EQ(out, 5u);
+}
+
+TEST(PullMailboxes, BroadcastThenFetch) {
+  Mailboxes<double> out(8);
+  EXPECT_FALSE(out.has_message(0, 2));
+  out.arm(0, 2, 1.5);
+  EXPECT_TRUE(out.has_message(0, 2));
   double v = 0.0;
   ASSERT_TRUE(out.fetch(0, 2, v));
   EXPECT_DOUBLE_EQ(v, 1.5);
@@ -149,10 +168,10 @@ TEST(PullOutboxes, BroadcastThenFetch) {
   ASSERT_TRUE(out.fetch(0, 2, v));
 }
 
-TEST(PullOutboxes, GenerationsAreIndependent) {
-  PullOutboxes<double> out(4);
-  out.broadcast(0, 1, 1.0);
-  out.broadcast(1, 1, 2.0);
+TEST(PullMailboxes, GenerationsAreIndependent) {
+  Mailboxes<double> out(4);
+  out.arm(0, 1, 1.0);
+  out.arm(1, 1, 2.0);
   double v = 0.0;
   ASSERT_TRUE(out.fetch(0, 1, v));
   EXPECT_DOUBLE_EQ(v, 1.0);
@@ -160,22 +179,22 @@ TEST(PullOutboxes, GenerationsAreIndependent) {
   EXPECT_DOUBLE_EQ(v, 2.0);
 }
 
-TEST(PullOutboxes, ClearRangeDisarms) {
-  PullOutboxes<double> out(10);
+TEST(PullMailboxes, ClearRangeDisarms) {
+  Mailboxes<double> out(10);
   for (std::size_t s = 0; s < 10; ++s) {
-    out.broadcast(0, s, 1.0);
+    out.arm(0, s, 1.0);
   }
   out.clear_range(0, 2, 5);
-  EXPECT_TRUE(out.armed(0, 1));
-  EXPECT_FALSE(out.armed(0, 2));
-  EXPECT_FALSE(out.armed(0, 4));
-  EXPECT_TRUE(out.armed(0, 5));
+  EXPECT_TRUE(out.has_message(0, 1));
+  EXPECT_FALSE(out.has_message(0, 2));
+  EXPECT_FALSE(out.has_message(0, 4));
+  EXPECT_TRUE(out.has_message(0, 5));
 }
 
-TEST(PullOutboxes, ResetDisarmsEverything) {
-  PullOutboxes<double> out(4);
-  out.broadcast(0, 0, 1.0);
-  out.broadcast(1, 3, 2.0);
+TEST(PullMailboxes, ResetDisarmsEverything) {
+  Mailboxes<double> out(4);
+  out.arm(0, 0, 1.0);
+  out.arm(1, 3, 2.0);
   out.reset();
   double v = 0.0;
   EXPECT_FALSE(out.fetch(0, 0, v));

@@ -224,5 +224,73 @@ TEST(CrashEquivalence, LightweightSnapshotResumesUnderDifferentVersion) {
   }
 }
 
+TEST(CrashEquivalence, PullBarrierSnapshotResumesFixedAndAdaptive) {
+  // A direction-optimising run checkpoints at a barrier that follows a
+  // pull superstep, so the pending generation holds armed outboxes, not
+  // inboxes. Heavyweight capture gathers it into the push layout (inbox
+  // plus a frontier of exactly the flagged slots), lightweight capture
+  // has no messages at all; either way the snapshot must resume
+  // bit-identically under the fixed engine and the adaptive one.
+  const CsrGraph g =
+      make_graph(graph::grid_2d(20, 20, {.removal_fraction = 0.0}));
+  for (const CombinerKind combiner :
+       {CombinerKind::kMutexPush, CombinerKind::kSpinlockPush}) {
+    const VersionId version{combiner, true};
+    EngineOptions base;
+    base.threads = 4;
+    base.collect_superstep_stats = true;
+    std::vector<graph::vid_t> clean;
+    const RunResult clean_result =
+        run_version(g, apps::Hashmin{}, version, base, nullptr, &clean);
+    // The barrier before superstep `at` follows a pull superstep.
+    const std::size_t at = 5;
+    ASSERT_GT(clean_result.supersteps, at + 2);
+    ASSERT_EQ(clean_result.per_superstep[at - 1].direction, Direction::kPull)
+        << "the lattice's dense wave should still be pulling at superstep "
+        << at - 1;
+    for (const ft::CheckpointMode mode : {ft::CheckpointMode::kHeavyweight,
+                                          ft::CheckpointMode::kLightweight}) {
+      SCOPED_TRACE(std::string(version_name(version)) + " / " +
+                   std::string(to_string(mode)));
+      const TempDir dir(std::string(to_string(mode)) +
+                        std::string(to_string(combiner)));
+      EngineOptions crashing = base;
+      crashing.checkpoint.trigger = ft::CheckpointTrigger::kEveryK;
+      crashing.checkpoint.every = 1;
+      crashing.checkpoint.mode = mode;
+      crashing.checkpoint.directory = dir.str();
+      crashing.fault.superstep = at;
+      crashing.fault.after_compute_calls = 0;
+      EXPECT_THROW((void)run_version(g, apps::Hashmin{}, version, crashing),
+                   ft::InjectedFault);
+      const auto path = ft::latest_snapshot(dir.str(), "snapshot");
+      ASSERT_TRUE(path.has_value());
+      const ft::EngineSnapshot snap = ft::read_snapshot(*path);
+      ASSERT_EQ(snap.meta.superstep, at);
+      if (mode == ft::CheckpointMode::kHeavyweight) {
+        std::vector<std::uint64_t> flagged;
+        for (std::size_t s = 0; s < snap.inbox_flags.size(); ++s) {
+          if (snap.inbox_flags[s] != 0) {
+            flagged.push_back(s);
+          }
+        }
+        EXPECT_FALSE(flagged.empty());
+        EXPECT_EQ(snap.frontier, flagged)
+            << "a gathered capture lists exactly the flagged slots";
+      }
+      for (const bool fixed : {true, false}) {
+        SCOPED_TRACE(fixed ? "resumed fixed" : "resumed adaptive");
+        EngineOptions resume = base;
+        resume.fixed_direction = fixed;
+        std::vector<graph::vid_t> recovered;
+        const RunResult resumed = run_version(
+            g, apps::Hashmin{}, version, resume, nullptr, &recovered, *path);
+        EXPECT_EQ(resumed.supersteps, clean_result.supersteps);
+        ASSERT_EQ(recovered, clean);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ipregel

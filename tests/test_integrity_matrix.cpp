@@ -1,15 +1,17 @@
 // The integrity matrix — the headline silent-data-corruption property:
 //
 //   For a sweep of seeded bit flips across {PageRank, SSSP, Hashmin} ×
-//   every applicable framework version × the detector tier aimed at that
-//   flip class, EVERY flip is either
+//   every applicable framework version (the paper's six, pinned to their
+//   fixed behaviour, plus the direction-optimising spinlock+bypass engine)
+//   × the detector tier aimed at that flip class, EVERY flip is either
 //     (a) detected: the run fails typed with kIntegrityViolation, the
 //         supervisor restores the newest pre-corruption snapshot, and the
 //         recovered run finishes bit-identical to an uninterrupted one, or
 //     (b) provably masked: the run completes and its final values are
 //         bit-identical anyway (the flip landed where the engine never
 //         reads — a dead mailbox slot, a frontier on a version that has
-//         none, a superstep the run never reached, a no-op SET).
+//         none or after a pull superstep, a superstep the run never
+//         reached, a no-op SET).
 //   Nothing in between: no silent wrong answer escapes.
 //
 // Flip classes per tier:
@@ -110,6 +112,32 @@ std::size_t exact_threads(VersionId version) {
   return 2;
 }
 
+/// One column of the matrix: a paper version pinned to its fixed
+/// behaviour, or the direction-optimising engine of that version.
+struct Column {
+  Column(VersionId v, bool a = false) : version(v), adaptive(a) {}  // NOLINT
+  VersionId version;
+  bool adaptive;
+
+  [[nodiscard]] std::string name() const {
+    return std::string(version_name(version)) + (adaptive ? " (adaptive)" : "");
+  }
+};
+
+/// The paper's applicable versions, fixed, then the adaptive column for
+/// programs it applies to (broadcast-only, always-halting).
+template <typename Program>
+std::vector<Column> columns() {
+  std::vector<Column> out;
+  for (const VersionId v : applicable_versions<Program>()) {
+    out.emplace_back(v);
+  }
+  if constexpr (Program::broadcast_only && Program::always_halts) {
+    out.emplace_back(VersionId{CombinerKind::kSpinlockPush, true}, true);
+  }
+  return out;
+}
+
 enum class Expect : std::uint8_t {
   kDetectOrMasked,  ///< either branch of the headline property
   kMustDetect,      ///< flip constructed so masking is impossible
@@ -118,12 +146,13 @@ enum class Expect : std::uint8_t {
 /// One cell of the matrix: clean run vs. supervised run under `flip` with
 /// the given detector tiers. Asserts the headline property.
 template <typename Program>
-void run_cell(const CsrGraph& g, Program program, VersionId version,
+void run_cell(const CsrGraph& g, Program program, Column column,
               const integrity::IntegrityOptions& tiers,
               const integrity::FlipPlan& flip, Expect expect,
               const std::vector<typename Program::value_type>& clean,
               std::size_t clean_supersteps, const std::string& tag) {
-  SCOPED_TRACE(tag + " / " + std::string(version_name(version)) +
+  const VersionId version = column.version;
+  SCOPED_TRACE(tag + " / " + column.name() +
                " / flip{superstep=" + std::to_string(flip.superstep) +
                ", target=" + std::string(to_string(flip.target)) +
                ", phase=" + std::string(to_string(flip.phase)) +
@@ -133,6 +162,7 @@ void run_cell(const CsrGraph& g, Program program, VersionId version,
   const TempDir dir(tag);
   EngineOptions options;
   options.threads = exact_threads<Program>(version);
+  options.fixed_direction = !column.adaptive;
   options.integrity = tiers;
   options.checkpoint.trigger = ft::CheckpointTrigger::kEveryK;
   options.checkpoint.every = 1;
@@ -174,11 +204,12 @@ void run_cell(const CsrGraph& g, Program program, VersionId version,
 
 /// Clean reference run for one (program, version).
 template <typename Program>
-RunResult clean_run(const CsrGraph& g, Program program, VersionId version,
+RunResult clean_run(const CsrGraph& g, Program program, Column column,
                     std::vector<typename Program::value_type>& out) {
   EngineOptions options;
-  options.threads = exact_threads<Program>(version);
-  return run_version(g, program, version, options, nullptr, &out);
+  options.threads = exact_threads<Program>(column.version);
+  options.fixed_direction = !column.adaptive;
+  return run_version(g, program, column.version, options, nullptr, &out);
 }
 
 // --- tier 2: at-rest checksum sweep --------------------------------------
@@ -194,15 +225,16 @@ void checksum_sweep(const CsrGraph& g, Program program,
   integrity::IntegrityOptions tiers;
   tiers.checksums = true;
   std::size_t case_index = 0;
-  for (const VersionId version : applicable_versions<Program>()) {
+  for (const Column column : columns<Program>()) {
+    const VersionId version = column.version;
     std::vector<typename Program::value_type> clean;
-    const RunResult ref = clean_run(g, program, version, clean);
+    const RunResult ref = clean_run(g, program, column, clean);
     ASSERT_GE(ref.supersteps, 3u) << "workload too short to corrupt";
     for (std::size_t i = 0; i < flips_per_version; ++i, ++case_index) {
       const integrity::FlipPlan flip = integrity::FlipPlan::from_seed(
           runtime::mix64(seed) ^ runtime::mix64(case_index), 1,
           ref.supersteps - 1, version.selection_bypass);
-      run_cell(g, program, version, tiers, flip, Expect::kDetectOrMasked,
+      run_cell(g, program, column, tiers, flip, Expect::kDetectOrMasked,
                clean, ref.supersteps,
                tag + "_t2_" + std::to_string(case_index));
     }
@@ -237,9 +269,9 @@ void invariant_sweep(const CsrGraph& g, Program program,
   integrity::IntegrityOptions tiers;
   tiers.invariants = true;
   std::size_t case_index = 0;
-  for (const VersionId version : applicable_versions<Program>()) {
+  for (const Column column : columns<Program>()) {
     std::vector<typename Program::value_type> clean;
-    const RunResult ref = clean_run(g, program, version, clean);
+    const RunResult ref = clean_run(g, program, column, clean);
     ASSERT_GE(ref.supersteps, 3u);
     runtime::SplitMix64 rng(runtime::mix64(seed) ^
                             runtime::mix64(0x7131 + case_index));
@@ -251,7 +283,7 @@ void invariant_sweep(const CsrGraph& g, Program program,
       flip.op = integrity::FlipOp::kSet;
       flip.index = rng.next();
       flip.bit = high_bit;
-      run_cell(g, program, version, tiers, flip, expect, clean,
+      run_cell(g, program, column, tiers, flip, expect, clean,
                ref.supersteps, tag + "_t1_" + std::to_string(case_index));
     }
   }
@@ -297,9 +329,9 @@ void shadow_sweep(const CsrGraph& g, Program program,
   const std::size_t first = g.first_slot();
   const std::size_t n = g.num_slots() - first;
   std::size_t case_index = 0;
-  for (const VersionId version : applicable_versions<Program>()) {
+  for (const Column column : columns<Program>()) {
     std::vector<typename Program::value_type> clean;
-    const RunResult ref = clean_run(g, program, version, clean);
+    const RunResult ref = clean_run(g, program, column, clean);
     ASSERT_GE(ref.supersteps, 3u);
     runtime::SplitMix64 rng(runtime::mix64(seed) ^
                             runtime::mix64(0x5AD1 + case_index));
@@ -316,7 +348,7 @@ void shadow_sweep(const CsrGraph& g, Program program,
       flip.index = sampled[rng.next() % sampled.size()] - first;
       flip.bit = static_cast<std::uint32_t>(
           rng.next() % (sizeof(typename Program::value_type) * 8));
-      run_cell(g, program, version, tiers, flip, Expect::kMustDetect,
+      run_cell(g, program, column, tiers, flip, Expect::kMustDetect,
                clean, ref.supersteps, tag + "_t3_" + std::to_string(case_index));
     }
   }
@@ -346,14 +378,16 @@ void false_positive_soak(const CsrGraph& g, Program program,
   tiers.shadow = true;
   tiers.shadow_samples = soak_mode() ? 32 : 8;
   tiers.shadow_seed = runtime::mix64(sweep_seed() ^ 0xC1EA);
-  for (const VersionId version : applicable_versions<Program>()) {
-    SCOPED_TRACE(tag + " / " + std::string(version_name(version)));
+  for (const Column column : columns<Program>()) {
+    const VersionId version = column.version;
+    SCOPED_TRACE(tag + " / " + column.name());
     std::vector<typename Program::value_type> clean;
-    const RunResult ref = clean_run(g, program, version, clean);
+    const RunResult ref = clean_run(g, program, column, clean);
 
     const TempDir dir(tag + "_fp");
     EngineOptions options;
     options.threads = exact_threads<Program>(version);
+    options.fixed_direction = !column.adaptive;
     options.integrity = tiers;
     options.checkpoint.trigger = ft::CheckpointTrigger::kEveryK;
     options.checkpoint.every = 1;

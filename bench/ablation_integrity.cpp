@@ -22,12 +22,20 @@
 //  - all: the three stacked, what a paranoid production run pays.
 //
 // Overhead columns are (t_tier - t_off) / t_off of whole-run wall time.
+//
+// A second table reports the throughput of the framework's one CRC-32
+// (integrity::crc32), which seals every page, ring frame, wire frame and
+// checkpoint, at the buffer sizes those seals see.
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/hashmin.hpp"
 #include "apps/pagerank.hpp"
@@ -35,6 +43,7 @@
 #include "benchlib/reporting.hpp"
 #include "benchlib/workloads.hpp"
 #include "core/runner.hpp"
+#include "integrity/crc32.hpp"
 #include "integrity/options.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -113,9 +122,55 @@ void rows(Table& table, const std::string& app, const Workload& w,
                  fmt_overhead(t_sh, t_off), fmt_overhead(t_all, t_off)});
 }
 
+/// Where the CRC throughput loop stores its result, so it is not elided.
+volatile std::uint32_t g_crc_sink = 0;
+
+/// GB/s of integrity::crc32 over one `bytes`-long buffer: best of five
+/// passes of ~64 MiB each, every call seeded with the last result.
+double crc32_gbps(std::size_t bytes) {
+  std::vector<std::uint8_t> buf(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::size_t reps =
+      std::max<std::size_t>(1, (std::size_t{64} << 20) / bytes);
+  double best = std::numeric_limits<double>::infinity();
+  std::uint32_t crc = 0;
+  for (int pass = 0; pass < 5; ++pass) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < reps; ++r) {
+      crc = integrity::crc32(buf.data(), bytes, crc);
+    }
+    best = std::min(best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  g_crc_sink = crc;
+  return static_cast<double>(reps * bytes) / best * 1e-9;
+}
+
+void crc32_table() {
+  Table table("CRC-32 throughput (integrity::crc32, slicing-by-16)",
+              {"buffer", "GB/s"});
+  const std::pair<const char*, std::size_t> sizes[] = {
+      {"64 B", 64},
+      {"4 KiB", std::size_t{4} << 10},
+      {"64 KiB", std::size_t{64} << 10},
+      {"1 MiB", std::size_t{1} << 20}};
+  for (const auto& [name, bytes] : sizes) {
+    std::ostringstream gbps;
+    gbps.precision(2);
+    gbps << std::fixed << crc32_gbps(bytes);
+    table.add_row({name, gbps.str()});
+  }
+  table.print();
+  table.write_csv("results/bench_crc32.csv");
+}
+
 }  // namespace
 
 int main() {
+  crc32_table();
   runtime::ThreadPool pool;
   std::cout << "iPregel integrity-detector ablation (threads = "
             << pool.size() << ", shadow samples = "

@@ -1,6 +1,7 @@
 #include "store/page_cache.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -31,20 +32,17 @@ PageCache::Pin PageCache::pin(std::uint64_t index) {
       lru_.splice(lru_.begin(), lru_, frame.lru);
       ++stats_.hits;
       shed_detail = note_access_locked(/*hit=*/true);
-      out = Pin(this, index, frame.buffer.data(), frame.payload_bytes);
+      out = Pin(this, index, frame.payload.data(), frame.payload.size());
     } else {
       ++stats_.misses;
       make_room_locked();
-      std::vector<std::uint8_t> buffer(store_.page_bytes());
-      const std::size_t payload =
-          load_with_retries_locked(index, buffer.data());
-      Frame& frame = insert_frame_locked(index, std::move(buffer), payload);
+      Frame& frame = insert_frame_locked(index, load_with_retries_locked(index));
       frame.pins = 1;
       shed_detail = note_access_locked(/*hit=*/false);
       if (level_ == 0 && options_.read_ahead_pages > 0) {
         read_ahead_locked(index);
       }
-      out = Pin(this, index, frame.buffer.data(), frame.payload_bytes);
+      out = Pin(this, index, frame.payload.data(), frame.payload.size());
     }
   }
   if (!shed_detail.empty() && options_.shed) {
@@ -102,17 +100,21 @@ void PageCache::evict_locked(std::uint64_t index) {
   frames_.erase(it);  // releases the frame's ledger charge
 }
 
-std::size_t PageCache::load_with_retries_locked(std::uint64_t index,
-                                                std::uint8_t* out) {
+PageCache::Frame PageCache::load_with_retries_locked(std::uint64_t index) {
+  // Uninitialised on purpose: the read overwrites every byte before any
+  // is trusted, and a read that fails never becomes a frame.
+  Frame frame;
+  frame.page = std::make_unique_for_overwrite<std::uint8_t[]>(
+      store_.page_stride());
   std::size_t attempts = 0;
   for (;;) {
     ++attempts;
     try {
-      const std::size_t payload = store_.read_page(index, out);
+      frame.payload = store_.read_page(index, frame.page.get());
       if (quarantined_.erase(index) > 0) {
         ++stats_.quarantine_refetches;
       }
-      return payload;
+      return frame;
     } catch (const PageError& e) {
       if (e.kind() == PageErrorKind::kBadCrc) {
         ++stats_.crc_failures;
@@ -136,15 +138,14 @@ std::size_t PageCache::load_with_retries_locked(std::uint64_t index,
   }
 }
 
-PageCache::Frame& PageCache::insert_frame_locked(
-    std::uint64_t index, std::vector<std::uint8_t> buffer,
-    std::size_t payload_bytes) {
+PageCache::Frame& PageCache::insert_frame_locked(std::uint64_t index,
+                                                 Frame loaded) {
   Frame& frame = frames_[index];
-  frame.buffer = std::move(buffer);
-  frame.payload_bytes = payload_bytes;
-  frame.pins = 0;
+  frame = std::move(loaded);
   lru_.push_front(index);
   frame.lru = lru_.begin();
+  // Budgets count payload slots; the page header the frame also holds is
+  // not charged (see PageCacheOptions::budget_bytes).
   frame.charge = runtime::MemReservation(runtime::MemCategory::kPageCache,
                                          store_.page_bytes());
   stats_.resident_bytes += store_.page_bytes();
@@ -168,17 +169,16 @@ void PageCache::read_ahead_locked(std::uint64_t after) {
     if (stats_.resident_bytes + store_.page_bytes() > options_.budget_bytes) {
       return;
     }
-    std::vector<std::uint8_t> buffer(store_.page_bytes());
-    std::size_t payload = 0;
+    Frame loaded;
     try {
-      payload = load_with_retries_locked(p, buffer.data());
+      loaded = load_with_retries_locked(p);
     } catch (const PageError&) {
       // A failed speculation is not a failure of the demand access; the
       // page will be read (and retried, and typed) when actually needed.
       // (io::PowerLoss still propagates: the disk is gone either way.)
       return;
     }
-    insert_frame_locked(p, std::move(buffer), payload);
+    insert_frame_locked(p, std::move(loaded));
     ++stats_.read_ahead_loaded;
   }
 }

@@ -27,18 +27,17 @@ PagedStore::PagedStore(io::Vfs& vfs, std::string path)
   }
 }
 
-std::size_t PagedStore::read_page(std::uint64_t index,
-                                  std::uint8_t* out) const {
+std::span<const std::uint8_t> PagedStore::read_page(
+    std::uint64_t index, std::uint8_t* page) const {
   if (index >= num_pages()) {
     throw PageError(PageErrorKind::kBadHeader, path_, index, 1,
                     "page index beyond the store's " +
                         std::to_string(num_pages()) + " pages");
   }
-  const std::size_t stride = kPageHeaderBytes + page_bytes();
-  std::vector<std::uint8_t> raw(stride);
+  const std::size_t stride = page_stride();
   std::size_t got = 0;
   try {
-    got = file_->read_at(raw.data(), stride, sb_.page_offset(index));
+    got = file_->read_at(page, stride, sb_.page_offset(index));
   } catch (const io::PowerLoss&) {
     throw;
   } catch (const io::IoError& e) {
@@ -50,7 +49,7 @@ std::size_t PagedStore::read_page(std::uint64_t index,
                         std::to_string(stride) + " page bytes");
   }
   PageHeader header;
-  std::memcpy(&header, raw.data(), sizeof(header));
+  std::memcpy(&header, page, sizeof(header));
   if (header.magic != kPageMagic) {
     throw PageError(PageErrorKind::kBadHeader, path_, index, 1,
                     "bad page magic");
@@ -64,28 +63,27 @@ std::size_t PagedStore::read_page(std::uint64_t index,
     throw PageError(PageErrorKind::kBadHeader, path_, index, 1,
                     "payload length above page capacity");
   }
-  const std::uint8_t* slot = raw.data() + kPageHeaderBytes;
+  const std::uint8_t* slot = page + kPageHeaderBytes;
   if (page_crc(header, slot, page_bytes()) != header.crc) {
     throw PageError(PageErrorKind::kBadCrc, path_, index, 1,
                     "page seal mismatch (silent corruption)");
   }
-  std::memcpy(out, slot, page_bytes());
-  return header.payload_bytes;
+  return {slot, header.payload_bytes};
 }
 
 void PagedStore::load_section_bytes(Section s, std::uint8_t* out,
                                     std::size_t bytes) const {
   const SectionRef& ref = sb_.section(s);
-  std::vector<std::uint8_t> slot(page_bytes());
+  std::vector<std::uint8_t> page(page_stride());
   std::size_t at = 0;
   for (std::uint64_t p = 0; p < ref.num_pages; ++p) {
-    const std::size_t payload = read_page(ref.first_page + p, slot.data());
-    if (at + payload > bytes) {
+    const auto payload = read_page(ref.first_page + p, page.data());
+    if (at + payload.size() > bytes) {
       throw PageError(PageErrorKind::kBadHeader, path_, ref.first_page + p, 1,
                       "section pages exceed the section's payload length");
     }
-    std::memcpy(out + at, slot.data(), payload);
-    at += payload;
+    std::memcpy(out + at, payload.data(), payload.size());
+    at += payload.size();
   }
   if (at != bytes) {
     throw PageError(PageErrorKind::kBadHeader, path_, PageError::kNoPage, 1,

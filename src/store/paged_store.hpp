@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,12 +42,19 @@ class PagedStore {
   [[nodiscard]] std::uint64_t num_pages() const noexcept {
     return sb_.num_pages();
   }
+  /// Bytes of one page as stored: its header, then its payload slot.
+  [[nodiscard]] std::size_t page_stride() const noexcept {
+    return kPageHeaderBytes + page_bytes();
+  }
 
-  /// Reads page `index` into `out` (capacity >= page_bytes()), verifies
-  /// header and CRC seal, and returns the page's logical payload length.
-  /// Throws a typed PageError on any violation; io::PowerLoss propagates
-  /// as itself (a dead disk is not a page problem and is never retried).
-  std::size_t read_page(std::uint64_t index, std::uint8_t* out) const;
+  /// Reads page `index` whole into `page` (capacity >= page_stride()) and
+  /// verifies its header and CRC seal in place, so the caller's buffer is
+  /// the only copy. Returns the verified payload: the page's logical
+  /// bytes, starting kPageHeaderBytes into `page`. Throws a typed
+  /// PageError on any violation; io::PowerLoss propagates as itself (a
+  /// dead disk is not a page problem and is never retried).
+  std::span<const std::uint8_t> read_page(std::uint64_t index,
+                                          std::uint8_t* page) const;
 
   /// Loads a whole section (every page verified) as a u64 / u32 element
   /// array. Used for the resident offset arrays at graph-open time and by

@@ -235,7 +235,15 @@ TEST(IoEintr, ThreadPoolRegionsCompleteUnderTheStorm) {
   runtime::ThreadPool pool(4);
   constexpr std::size_t kItems = 1u << 16;
   SigchldStorm storm;
-  for (int round = 0; round < 200; ++round) {
+  // At least 200 rounds, and on until a signal has landed while a region
+  // was running: 200 short rounds can finish before the storm thread
+  // sends its first signal. The deadline bounds a storm that never hits.
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::seconds(30);
+  bool hit_a_region = false;
+  for (int round = 0;
+       round < 200 || (!hit_a_region && Clock::now() < deadline); ++round) {
+    const int before = SigchldStorm::delivered();
     std::atomic<std::uint64_t> sum{0};
     pool.run([&](std::size_t tid) {
       std::uint64_t local = 0;
@@ -246,6 +254,7 @@ TEST(IoEintr, ThreadPoolRegionsCompleteUnderTheStorm) {
     });
     ASSERT_EQ(sum.load(),
               static_cast<std::uint64_t>(kItems) * (kItems - 1) / 2);
+    hit_a_region = hit_a_region || SigchldStorm::delivered() > before;
   }
   EXPECT_GT(SigchldStorm::delivered(), 0);
 }

@@ -177,10 +177,10 @@ TEST(PageCache, QuarantinedPageIsRefetchedNotReserved) {
   vfs.set_read_plan({FaultyVfs::ReadFaultKind::kTornPage, 1});
   const PageCache::Pin pin = cache.pin(0);
   // Compare against an undisturbed read of the same page.
-  std::vector<std::uint8_t> clean(store.page_bytes());
-  const std::size_t payload = store.read_page(0, clean.data());
-  ASSERT_EQ(pin.size(), payload);
-  EXPECT_EQ(0, std::memcmp(pin.data(), clean.data(), payload));
+  std::vector<std::uint8_t> clean(store.page_stride());
+  const auto payload = store.read_page(0, clean.data());
+  ASSERT_EQ(pin.size(), payload.size());
+  EXPECT_EQ(0, std::memcmp(pin.data(), payload.data(), payload.size()));
   const PageCacheStats s = cache.stats();
   EXPECT_EQ(s.crc_failures, 1u);
   EXPECT_EQ(s.quarantine_events, 1u);

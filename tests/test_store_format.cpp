@@ -223,7 +223,7 @@ TEST(StoreFormat, FlippedPayloadBitFailsTheSeal) {
   // First byte of page 0's payload slot.
   write_then_flip(vfs, kSuperblockBytes + kPageHeaderBytes);
   const PagedStore store(vfs, kPath);
-  std::vector<std::uint8_t> out(store.page_bytes());
+  std::vector<std::uint8_t> out(store.page_stride());
   try {
     (void)store.read_page(0, out.data());
     FAIL() << "served a payload that fails its seal";
@@ -249,7 +249,7 @@ TEST(StoreFormat, FlippedPaddingBitFailsTheSeal) {
     f->close();
   }
   const PagedStore store(vfs, kPath);
-  std::vector<std::uint8_t> out(store.page_bytes());
+  std::vector<std::uint8_t> out(store.page_stride());
   const std::uint64_t last = store.num_pages() - 1;
   try {
     (void)store.read_page(last, out.data());
@@ -263,7 +263,7 @@ TEST(StoreFormat, WrongPageMagicIsBadHeader) {
   FaultyVfs vfs;
   write_then_flip(vfs, kSuperblockBytes);  // first byte of page 0's magic
   const PagedStore store(vfs, kPath);
-  std::vector<std::uint8_t> out(store.page_bytes());
+  std::vector<std::uint8_t> out(store.page_stride());
   try {
     (void)store.read_page(0, out.data());
     FAIL() << "accepted a page with a wrong magic";
@@ -279,7 +279,7 @@ TEST(StoreFormat, OutOfRangePageIsBadHeader) {
       build_csr(graph::cycle_graph(8), /*in_edges=*/true, /*weights=*/false);
   write_store(g, kPath, &vfs, {.page_bytes = 64});
   const PagedStore store(vfs, kPath);
-  std::vector<std::uint8_t> out(store.page_bytes());
+  std::vector<std::uint8_t> out(store.page_stride());
   EXPECT_THROW((void)store.read_page(store.num_pages(), out.data()),
                PageError);
 }

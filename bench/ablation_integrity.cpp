@@ -21,7 +21,9 @@
 //    noise at the default 16.
 //  - all: the three stacked, what a paranoid production run pays.
 //
-// Overhead columns are (t_tier - t_off) / t_off of whole-run wall time.
+// Overhead columns are median(t_tier / t_off) - 1 of whole-run wall time
+// over adjacent (baseline, tier) run pairs; "off (s)" is the median
+// baseline run of the invariants pairs.
 //
 // A second table reports the throughput of the framework's one CRC-32
 // (integrity::crc32), which seals every page, ring frame, wire frame and
@@ -52,29 +54,61 @@ namespace {
 using namespace ipregel;         // NOLINT(google-build-using-namespace)
 using namespace ipregel::bench;  // NOLINT(google-build-using-namespace)
 
+/// Back-to-back (baseline, tier) run pairs per overhead figure.
+constexpr int kPairs = 7;
+
 template <typename Program>
-double timed_run(const Workload& w, Program program, VersionId version,
-                 runtime::ThreadPool& pool,
-                 const integrity::IntegrityOptions& tiers) {
-  // Best-of-3: single runs on a contended machine produce negative
-  // "overheads"; the minimum is the least-noisy estimator of the true
-  // cost of each configuration.
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    EngineOptions options;
-    options.integrity = tiers;
-    const RunResult r =
-        run_version(w.graph, program, version, options, &pool);
-    best = std::min(best, r.seconds);
-  }
-  return best;
+double run_seconds(const Workload& w, Program program, VersionId version,
+                   runtime::ThreadPool& pool,
+                   const integrity::IntegrityOptions& tiers) {
+  EngineOptions options;
+  options.integrity = tiers;
+  return run_version(w.graph, program, version, options, &pool).seconds;
 }
 
-std::string fmt_overhead(double tier_seconds, double off_seconds) {
-  if (off_seconds <= 0.0) {
-    return "-";
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+}
+
+/// A tier's cost as the median, over kPairs adjacent (baseline, tier) run
+/// pairs, of t_tier / t_off. Both runs of a pair see the same machine
+/// state, so contention that drifts over seconds cancels inside each
+/// ratio; the median drops the pairs a scheduling hiccup hit; and the
+/// order inside a pair alternates so neither side always runs warmer.
+/// (Comparing the best of three runs per configuration instead made the
+/// 10% gate fail on unchanged code about half the time on 40-180 ms
+/// baselines.)
+struct Overhead {
+  double off_seconds = 0.0;  ///< median baseline run
+  double ratio = 1.0;        ///< median t_tier / t_off
+};
+
+template <typename Program>
+Overhead paired_overhead(const Workload& w, Program program,
+                         VersionId version, runtime::ThreadPool& pool,
+                         const integrity::IntegrityOptions& tier) {
+  std::vector<double> offs;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double t_off = 0.0;
+    double t_tier = 0.0;
+    if (pair % 2 == 0) {
+      t_off = run_seconds(w, program, version, pool, {});
+      t_tier = run_seconds(w, program, version, pool, tier);
+    } else {
+      t_tier = run_seconds(w, program, version, pool, tier);
+      t_off = run_seconds(w, program, version, pool, {});
+    }
+    offs.push_back(t_off);
+    ratios.push_back(t_off > 0.0 ? t_tier / t_off : 1.0);
   }
-  const double pct = (tier_seconds - off_seconds) / off_seconds * 100.0;
+  return {median(offs), median(ratios)};
+}
+
+std::string fmt_overhead(double ratio) {
+  const double pct = (ratio - 1.0) * 100.0;
   std::ostringstream os;
   os.precision(1);
   os << std::fixed << (pct >= 0.0 ? "+" : "") << pct << "%";
@@ -85,7 +119,6 @@ template <typename Program>
 void rows(Table& table, const std::string& app, const Workload& w,
           Program program, VersionId version, runtime::ThreadPool& pool,
           double* worst_every1, double* worst_every8) {
-  integrity::IntegrityOptions off;
   integrity::IntegrityOptions inv;
   inv.invariants = true;
   integrity::IntegrityOptions cksum;
@@ -102,24 +135,23 @@ void rows(Table& table, const std::string& app, const Workload& w,
 
   // A throwaway warm-up run so the first measured configuration does not
   // also pay the page-cache / allocator cold start.
-  (void)timed_run(w, program, version, pool, off);
+  (void)run_seconds(w, program, version, pool, {});
 
-  const double t_off = timed_run(w, program, version, pool, off);
-  const double t_inv = timed_run(w, program, version, pool, inv);
-  const double t_ck = timed_run(w, program, version, pool, cksum);
-  const double t_ck8 = timed_run(w, program, version, pool, cksum8);
-  const double t_sh = timed_run(w, program, version, pool, shadow);
-  const double t_all = timed_run(w, program, version, pool, all);
-  if (worst_every1 != nullptr && t_off > 0.0) {
-    *worst_every1 = std::max(*worst_every1, (t_ck - t_off) / t_off);
+  const Overhead o_inv = paired_overhead(w, program, version, pool, inv);
+  const Overhead o_ck = paired_overhead(w, program, version, pool, cksum);
+  const Overhead o_ck8 = paired_overhead(w, program, version, pool, cksum8);
+  const Overhead o_sh = paired_overhead(w, program, version, pool, shadow);
+  const Overhead o_all = paired_overhead(w, program, version, pool, all);
+  if (worst_every1 != nullptr) {
+    *worst_every1 = std::max(*worst_every1, o_ck.ratio - 1.0);
   }
-  if (worst_every8 != nullptr && t_off > 0.0) {
-    *worst_every8 = std::max(*worst_every8, (t_ck8 - t_off) / t_off);
+  if (worst_every8 != nullptr) {
+    *worst_every8 = std::max(*worst_every8, o_ck8.ratio - 1.0);
   }
   table.add_row({app, std::string(version_name(version)), w.name,
-                 fmt_seconds(t_off), fmt_overhead(t_inv, t_off),
-                 fmt_overhead(t_ck, t_off), fmt_overhead(t_ck8, t_off),
-                 fmt_overhead(t_sh, t_off), fmt_overhead(t_all, t_off)});
+                 fmt_seconds(o_inv.off_seconds), fmt_overhead(o_inv.ratio),
+                 fmt_overhead(o_ck.ratio), fmt_overhead(o_ck8.ratio),
+                 fmt_overhead(o_sh.ratio), fmt_overhead(o_all.ratio)});
 }
 
 /// Where the CRC throughput loop stores its result, so it is not elided.
@@ -206,10 +238,10 @@ int main() {
 
   std::cout << "\nworst checksum-tier overhead on the dense (wiki-like) "
                "workloads: "
-            << fmt_overhead(1.0 + worst_every8, 1.0)
+            << fmt_overhead(1.0 + worst_every8)
             << " at the recommended production cadence (checksum_every = 8; "
                "acceptance bar: +10.0%), "
-            << fmt_overhead(1.0 + worst_every1, 1.0)
+            << fmt_overhead(1.0 + worst_every1)
             << " at every-barrier coverage (reported, not gated)\n"
             << "expected: invariants and shadow are noise; checksums are "
                "the priciest tier and every-8 buys most of it back; the "

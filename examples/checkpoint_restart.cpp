@@ -60,19 +60,19 @@ int main() {
   // first (graph fingerprint, format version, per-section checksums) and
   // — since this is a lightweight snapshot — regenerates the in-flight
   // messages from the restored distances via Sssp::resend.
-  const auto snapshot = ft::latest_snapshot(dir, "snapshot");
+  const auto snapshot = ft::SnapshotDirectory(dir).newest_valid();
   if (!snapshot) {
     std::printf("no snapshot found\n");
     return 1;
   }
-  std::printf("recovering:    %s\n", snapshot->c_str());
+  std::printf("recovering:    %s\n", snapshot->path.c_str());
 
   std::vector<std::uint32_t> recovered;
   const RunResult resumed = run_version(g, program, version, {}, nullptr,
-                                        &recovered, *snapshot);
+                                        &recovered, snapshot->path);
   std::printf("resumed run:   %zu supersteps total (re-ran %zu)\n",
               resumed.supersteps,
-              resumed.supersteps - ft::read_snapshot_meta(*snapshot).superstep);
+              resumed.supersteps - snapshot->superstep);
 
   // 4. The recovered result must be identical to the uninterrupted one.
   std::size_t mismatches = 0;

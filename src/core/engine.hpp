@@ -22,6 +22,7 @@
 #include "core/mailbox.hpp"
 #include "core/program_traits.hpp"
 #include "ft/fingerprint.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
 #include "graph/csr.hpp"
 #include "integrity/audit.hpp"
@@ -859,12 +860,12 @@ class Engine {
         const ft::EngineSnapshot snap = capture_state(cp.mode);
         checkpoint_mem_.rebind(runtime::MemCategory::kCheckpoint,
                                snap.payload_bytes());
-        ft::write_snapshot(
-            ft::snapshot_path(cp.directory, cp.basename, superstep_), snap,
-            cp.vfs);
+        if (!checkpoint_dir_.has_value()) {
+          checkpoint_dir_.emplace(cp.directory, cp.basename, cp.vfs, cp.keep);
+        }
+        checkpoint_dir_->publish(snap);
       }
       checkpoint_mem_.rebind(runtime::MemCategory::kCheckpoint, 0);
-      ft::prune_snapshots(cp.directory, cp.basename, cp.keep, cp.vfs);
     } catch (const io::PowerLoss&) {
       // Simulation only: the machine this models is dead; the run is too.
       checkpoint_mem_.rebind(runtime::MemCategory::kCheckpoint, 0);
@@ -1896,6 +1897,9 @@ class Engine {
   double since_checkpoint_seconds_ = 0.0;
   double checkpoint_cost_seconds_ = 0.0;
   runtime::MemReservation checkpoint_mem_;
+  /// Publishes and retains this engine's snapshots; created at the first
+  /// checkpoint.
+  std::optional<ft::SnapshotDirectory> checkpoint_dir_;
   mutable std::uint64_t fingerprint_ = 0;
 
   runtime::MemReservation values_mem_;

@@ -1,6 +1,8 @@
 #include "ft/binary_format.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -92,10 +94,16 @@ bool BinaryReader::next_section(std::uint32_t& tag,
   if (!read_raw(in_, got_tag) || !read_raw(in_, bytes)) {
     fail(path_, "truncated file (end of data before the end-of-file marker)");
   }
-  payload.resize(bytes);
-  if (bytes != 0) {
-    in_.read(reinterpret_cast<char*>(payload.data()),
-             static_cast<std::streamsize>(bytes));
+  // The declared length is untrusted until its bytes arrive: grow the
+  // buffer in doubling steps from 1 MiB as reads succeed, so a flipped bit
+  // in the length fails as truncation with at most ~2x the stream's real
+  // size allocated, instead of asking for up to 2^64 bytes up front.
+  payload.clear();
+  for (std::uint64_t step = 1 << 20; payload.size() < bytes; step *= 2) {
+    const std::size_t have = payload.size();
+    payload.resize(have + std::min<std::uint64_t>(step, bytes - have));
+    in_.read(reinterpret_cast<char*>(payload.data() + have),
+             static_cast<std::streamsize>(payload.size() - have));
     if (!in_) {
       fail(path_, "truncated section (declared " + std::to_string(bytes) +
                       " bytes, file ends early)");
@@ -138,6 +146,15 @@ void FieldWriter::u64(std::uint64_t v) {
   std::memcpy(bytes_.data() + old, &v, sizeof v);
 }
 
+void FieldWriter::blob(const void* data, std::size_t n) {
+  if (n > UINT32_MAX) {
+    throw std::length_error("FieldWriter::blob: more than 4 GiB");
+  }
+  u32(static_cast<std::uint32_t>(n));
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  bytes_.insert(bytes_.end(), p, p + n);
+}
+
 void FieldReader::need(std::size_t n) const {
   if (pos_ + n > bytes_.size()) {
     throw FormatError(context_ + ": metadata payload too short");
@@ -163,6 +180,14 @@ std::uint64_t FieldReader::u64() {
   std::memcpy(&v, bytes_.data() + pos_, sizeof v);
   pos_ += sizeof v;
   return v;
+}
+
+std::vector<std::uint8_t> FieldReader::blob() {
+  const std::uint32_t n = u32();
+  need(n);
+  const auto* p = bytes_.data() + pos_;
+  pos_ += n;
+  return {p, p + n};
 }
 
 void FieldReader::done() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -78,7 +79,8 @@ class BinaryReader {
 
   /// Reads the next section. Returns false at the end-of-file trailer.
   /// Throws FormatError on truncation (EOF before the trailer) or CRC
-  /// mismatch.
+  /// mismatch. A corrupt length field cannot make it allocate more than
+  /// the stream actually holds.
   bool next_section(std::uint32_t& tag, std::vector<std::uint8_t>& payload);
 
   /// Reads the next section and checks its tag. A missing or reordered
@@ -98,6 +100,10 @@ class FieldWriter {
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
+  /// The IEEE-754 bit pattern, as a u64.
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// A u32 byte count, then the bytes.
+  void blob(const void* data, std::size_t n);
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return bytes_;
   }
@@ -114,6 +120,8 @@ class FieldReader {
   [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
+  [[nodiscard]] std::vector<std::uint8_t> blob();
   /// All fields must be consumed: trailing bytes mean a layout mismatch.
   void done() const;
 

@@ -1,7 +1,6 @@
 #include "ft/snapshot.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "ft/binary_format.hpp"
 #include "io/stream.hpp"
@@ -202,77 +201,6 @@ std::string snapshot_path(const std::string& dir, const std::string& basename,
                           std::uint64_t superstep) {
   return dir + "/" + basename + "." + std::to_string(superstep) +
          kSnapshotSuffix;
-}
-
-std::optional<std::uint64_t> parse_snapshot_filename(
-    const std::string& filename, const std::string& basename) {
-  const std::string prefix = basename + ".";
-  const std::string suffix = kSnapshotSuffix;
-  if (filename.size() <= prefix.size() + suffix.size() ||
-      filename.compare(0, prefix.size(), prefix) != 0 ||
-      filename.compare(filename.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
-    return std::nullopt;
-  }
-  const char* first = filename.data() + prefix.size();
-  const char* last = filename.data() + filename.size() - suffix.size();
-  std::uint64_t n = 0;
-  const auto [ptr, ec] = std::from_chars(first, last, n);
-  if (ec != std::errc{} || ptr != last) {
-    return std::nullopt;
-  }
-  return n;
-}
-
-std::vector<std::pair<std::uint64_t, std::string>> list_snapshots(
-    const std::string& dir, const std::string& basename, io::Vfs* vfs) {
-  std::vector<std::pair<std::uint64_t, std::string>> found;
-  std::vector<std::string> names;
-  try {
-    names = io::vfs_or_real(vfs).list(dir);
-  } catch (const io::PowerLoss&) {
-    throw;
-  } catch (const io::IoError&) {
-    return found;  // a checkpoint directory that never existed is empty
-  }
-  for (const std::string& name : names) {
-    if (const auto step = parse_snapshot_filename(name, basename)) {
-      found.emplace_back(*step, dir + "/" + name);
-    }
-  }
-  std::sort(found.begin(), found.end());
-  return found;
-}
-
-std::optional<std::string> latest_snapshot(const std::string& dir,
-                                           const std::string& basename,
-                                           io::Vfs* vfs) {
-  const auto found = list_snapshots(dir, basename, vfs);
-  if (found.empty()) {
-    return std::nullopt;
-  }
-  return found.back().second;
-}
-
-void prune_snapshots(const std::string& dir, const std::string& basename,
-                     std::size_t keep, io::Vfs* vfs) {
-  if (keep == 0) {
-    return;
-  }
-  io::Vfs& fs = io::vfs_or_real(vfs);
-  const auto found = list_snapshots(dir, basename, vfs);
-  if (found.size() <= keep) {
-    return;
-  }
-  for (std::size_t i = 0; i < found.size() - keep; ++i) {
-    try {
-      fs.unlink(found[i].second);
-    } catch (const io::PowerLoss&) {
-      throw;
-    } catch (const io::IoError&) {
-      // Best-effort GC: an undeletable stale snapshot is not an error.
-    }
-  }
 }
 
 }  // namespace ipregel::ft

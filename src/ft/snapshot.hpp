@@ -2,10 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ft/checkpoint.hpp"
@@ -123,31 +121,5 @@ void write_snapshot(const std::string& path, const EngineSnapshot& snap,
 [[nodiscard]] std::string snapshot_path(const std::string& dir,
                                         const std::string& basename,
                                         std::uint64_t superstep);
-
-/// Parses "<basename>.<N><kSnapshotSuffix>"; returns the superstep N or
-/// nullopt when `filename` is not a finished snapshot of `basename`.
-[[nodiscard]] std::optional<std::uint64_t> parse_snapshot_filename(
-    const std::string& filename, const std::string& basename);
-
-/// All finished snapshots matching basename in dir as (superstep, path),
-/// sorted ascending by superstep. A missing or unreadable directory yields
-/// an empty list (a simulated power cut still propagates).
-[[nodiscard]] std::vector<std::pair<std::uint64_t, std::string>>
-list_snapshots(const std::string& dir, const std::string& basename,
-               io::Vfs* vfs = nullptr);
-
-/// Path of the newest (highest-superstep) finished snapshot matching
-/// basename in dir, or nullopt when none exists. Purely name-based — see
-/// SnapshotDirectory (ft/snapshot_dir.hpp) for the content-validating
-/// variant recovery should use.
-[[nodiscard]] std::optional<std::string> latest_snapshot(
-    const std::string& dir, const std::string& basename,
-    io::Vfs* vfs = nullptr);
-
-/// Deletes all but the newest `keep` snapshots matching basename (no-op
-/// when keep == 0). Best-effort: deletion failures are ignored (a
-/// simulated power cut still propagates).
-void prune_snapshots(const std::string& dir, const std::string& basename,
-                     std::size_t keep, io::Vfs* vfs = nullptr);
 
 }  // namespace ipregel::ft

@@ -12,8 +12,8 @@
 
 #include "core/runner.hpp"
 #include "ft/fault.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
-#include "ft/snapshot_dir.hpp"
 #include "integrity/fault.hpp"
 
 namespace ipregel::ft {
@@ -162,8 +162,8 @@ struct SupervisedOutcome {
 /// This is the recovery loop that PR 1's snapshot subsystem was built for:
 /// options.checkpoint paces the snapshots, the supervisor consumes them.
 /// Every attempt constructs a fresh engine (a failed attempt's torn state
-/// dies with it) and resumes from `latest_snapshot` of the checkpoint
-/// directory when one exists — so work is lost only back to the last
+/// dies with it) and resumes from the checkpoint directory's newest valid
+/// snapshot when one exists — so work is lost only back to the last
 /// barrier snapshot, not to superstep 0, and a run that faults N times
 /// finishes with values identical to an uninterrupted run (deterministic
 /// programs; see tests/test_ft_supervisor.cpp for the exactness fine

@@ -30,6 +30,7 @@
 #include "ft/checkpoint.hpp"
 #include "ft/fault.hpp"
 #include "ft/fingerprint.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
 #include "ft/supervisor.hpp"
 #include "graph/csr.hpp"

@@ -178,8 +178,10 @@ class Coordinator {
               8);
     }
     if (options_.recovery.enabled()) {
-      manifest_dir_.emplace(options_.recovery.directory, nullptr,
-                            options_.recovery.keep_manifests);
+      // A takeover needs at least the newest commit: keep >= 1.
+      manifest_dir_.emplace(manifest_directory(
+          options_.recovery.directory, nullptr,
+          std::max<std::size_t>(options_.recovery.keep_manifests, 1)));
     }
   }
 
@@ -444,7 +446,8 @@ class Coordinator {
       if (!vfs.exists(options_.recovery.directory)) {
         vfs.mkdir(options_.recovery.directory);
       }
-      std::optional<RunManifest> prior = manifest_dir_->newest_valid();
+      std::optional<RunManifest> prior =
+          manifest_dir_->load_newest(read_manifest);
       if (prior.has_value() && !identity_matches(*prior)) {
         outcome_.error.emplace(
             RunErrorKind::kSnapshotMismatch,
@@ -602,14 +605,15 @@ class Coordinator {
           // dies, leaving whatever torn bytes the REAL filesystem holds.
           io::WriteCutVfs cut(io::vfs_or_real(nullptr), f.at_syscall,
                               "manifest.");
-          ManifestDirectory dir(options_.recovery.directory, &cut,
-                                options_.recovery.keep_manifests);
-          dir.publish(m);
+          ft::RecoveryDirectory dir = manifest_directory(
+              options_.recovery.directory, &cut,
+              std::max<std::size_t>(options_.recovery.keep_manifests, 1));
+          publish_manifest(dir, m);
           return;
         }
       }
     }
-    manifest_dir_->publish(m);
+    publish_manifest(*manifest_dir_, m);
   }
 
   /// Scripted coordinator death (kSigkill). Power cuts are handled inside
@@ -1477,7 +1481,7 @@ class Coordinator {
   Channel* reattach_ = nullptr;  ///< supervisor-owned listener, kShm only
   int orphan_fd_ = -1;
   int result_fd_ = -1;
-  std::optional<ManifestDirectory> manifest_dir_;
+  std::optional<ft::RecoveryDirectory> manifest_dir_;
   std::uint64_t epoch_ = 0;
   std::uint64_t commit_seq_ = 0;
   bool takeover_pending_ = false;

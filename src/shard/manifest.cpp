@@ -1,9 +1,6 @@
 #include "shard/manifest.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <utility>
 
 #include "ft/binary_format.hpp"
 #include "io/stream.hpp"
@@ -20,22 +17,6 @@ constexpr std::uint32_t kManifestVersion = 1;
 constexpr std::uint32_t kMetaTag = 1;
 constexpr std::uint32_t kShardsTag = 2;
 constexpr std::uint32_t kHistoryTag = 3;
-
-constexpr const char* kPrefix = "manifest.";
-constexpr const char* kSuffix = ".ipman";
-
-[[nodiscard]] std::uint64_t double_bits(double v) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-[[nodiscard]] double bits_double(std::uint64_t bits) noexcept {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
@@ -76,8 +57,8 @@ void write_manifest(io::Vfs& vfs, const std::string& path,
   meta.u64(m.heartbeat_kills);
   meta.u64(m.coordinator_takeovers);
   meta.u64(m.adopted_workers);
-  meta.u64(double_bits(m.recovery_seconds));
-  meta.u64(double_bits(m.coordinator_recovery_seconds));
+  meta.f64(m.recovery_seconds);
+  meta.f64(m.coordinator_recovery_seconds);
   writer.section(kMetaTag, meta.bytes().data(), meta.bytes().size());
 
   ft::FieldWriter shards;
@@ -92,10 +73,7 @@ void write_manifest(io::Vfs& vfs, const std::string& path,
   for (const ManifestRelease& rel : m.history) {
     history.u64(rel.superstep);
     history.u64(rel.command);
-    history.u32(static_cast<std::uint32_t>(rel.aggregate.size()));
-    for (const std::uint8_t b : rel.aggregate) {
-      history.u8(b);
-    }
+    history.blob(rel.aggregate.data(), rel.aggregate.size());
   }
   writer.section(kHistoryTag, history.bytes().data(),
                  history.bytes().size());
@@ -132,8 +110,8 @@ RunManifest read_manifest(io::Vfs& vfs, const std::string& path) {
     m.heartbeat_kills = meta.u64();
     m.coordinator_takeovers = meta.u64();
     m.adopted_workers = meta.u64();
-    m.recovery_seconds = bits_double(meta.u64());
-    m.coordinator_recovery_seconds = bits_double(meta.u64());
+    m.recovery_seconds = meta.f64();
+    m.coordinator_recovery_seconds = meta.f64();
     meta.done();
 
     const std::vector<std::uint8_t> shard_bytes =
@@ -161,11 +139,7 @@ RunManifest read_manifest(io::Vfs& vfs, const std::string& path) {
       ManifestRelease& rel = m.history[i];
       rel.superstep = history.u64();
       rel.command = history.u64();
-      const std::uint32_t len = history.u32();
-      rel.aggregate.resize(len);
-      for (std::uint32_t b = 0; b < len; ++b) {
-        rel.aggregate[b] = history.u8();
-      }
+      rel.aggregate = history.blob();
       if (i > 0 && rel.superstep <= m.history[i - 1].superstep) {
         throw ft::FormatError(path + ": history not ascending");
       }
@@ -180,99 +154,19 @@ RunManifest read_manifest(io::Vfs& vfs, const std::string& path) {
   return m;
 }
 
-ManifestDirectory::ManifestDirectory(std::string dir, io::Vfs* vfs,
-                                     std::size_t keep)
-    : dir_(std::move(dir)), vfs_(vfs), keep_(keep == 0 ? 1 : keep) {}
-
-std::string ManifestDirectory::path_for(std::uint64_t seq) const {
-  char name[48];
-  std::snprintf(name, sizeof(name), "%s%012llu%s", kPrefix,
-                static_cast<unsigned long long>(seq), kSuffix);
-  return dir_ + "/" + name;
+ft::RecoveryDirectory manifest_directory(std::string dir, io::Vfs* vfs,
+                                         std::size_t keep) {
+  return ft::RecoveryDirectory(std::move(dir), "manifest.", ".ipman", vfs,
+                               keep);
 }
 
-std::vector<ManifestDirectory::Entry> ManifestDirectory::list() const {
-  io::Vfs& vfs = io::vfs_or_real(vfs_);
-  std::vector<Entry> entries;
-  std::vector<std::string> names;
-  try {
-    names = vfs.list(dir_);
-  } catch (const io::IoError&) {
-    return entries;  // missing directory = no manifests yet
-  }
-  const std::string prefix = kPrefix;
-  const std::string suffix = kSuffix;
-  for (const std::string& name : names) {
-    if (name.size() <= prefix.size() + suffix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0 ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-            0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    Entry e;
-    e.seq = std::strtoull(digits.c_str(), nullptr, 10);
-    e.path = dir_ + "/" + name;
-    entries.push_back(std::move(e));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
-  return entries;
-}
-
-std::optional<RunManifest> ManifestDirectory::newest_valid() {
-  io::Vfs& vfs = io::vfs_or_real(vfs_);
-  std::vector<Entry> entries = list();
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    try {
-      return read_manifest(vfs, it->path);
-    } catch (const io::PowerLoss&) {
-      throw;  // the simulated machine is dead; there is no "fall back"
-    } catch (const ft::FormatError&) {
-      quarantine(it->path);
-    } catch (const io::IoError&) {
-      quarantine(it->path);
-    }
-  }
-  return std::nullopt;
-}
-
-void ManifestDirectory::publish(const RunManifest& m) {
-  io::Vfs& vfs = io::vfs_or_real(vfs_);
-  write_manifest(vfs, path_for(m.commit_seq), m);
-  // Bounded retention, oldest-first. Final-named manifests are always
-  // fully fsynced (AtomicFile renames only after a successful flush), so
-  // a name-based prune can never delete the only good fallback.
-  std::vector<Entry> entries = list();
-  if (entries.size() <= keep_) {
-    return;
-  }
-  for (std::size_t i = 0; i + keep_ < entries.size(); ++i) {
-    try {
-      vfs.unlink(entries[i].path);
-    } catch (const io::PowerLoss&) {
-      throw;
-    } catch (const io::IoError&) {
-      // Retention is best-effort; an undeletable old manifest is noise.
-    }
-  }
-}
-
-void ManifestDirectory::quarantine(const std::string& path) {
-  io::Vfs& vfs = io::vfs_or_real(vfs_);
-  try {
-    vfs.rename(path, path + ".quarantined");
-    ++quarantined_;
-  } catch (const io::PowerLoss&) {
-    throw;
-  } catch (const io::IoError&) {
-    // Leave it; the walk skips it either way.
-  }
+void publish_manifest(ft::RecoveryDirectory& dir, const RunManifest& m) {
+  dir.publish(
+      m.commit_seq,
+      [&m](io::Vfs& vfs, const std::string& path) {
+        write_manifest(vfs, path, m);
+      },
+      read_manifest);
 }
 
 }  // namespace ipregel::shard

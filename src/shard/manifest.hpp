@@ -2,10 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "ft/recovery_dir.hpp"
 #include "shard/options.hpp"
 
 namespace ipregel::io {
@@ -27,10 +27,10 @@ namespace ipregel::shard {
 /// before proceeds), work the workers will simply re-request.
 ///
 /// Files are `manifest.<seq>.ipman` with a commit sequence monotone
-/// across incarnations, so "newest" is a filename comparison and a torn
-/// publish can never shadow the previous good manifest (AtomicFile only
-/// renames after a successful fsync; a power cut mid-publish leaves a
-/// .tmp the directory walk ignores).
+/// across incarnations, so "newest" is a numeric name comparison and a
+/// torn publish can never shadow the previous good manifest (AtomicFile
+/// only renames after a successful fsync; a power cut mid-publish leaves
+/// a .tmp the directory walk ignores).
 
 /// One committed barrier release retained for replay: enough to re-send
 /// the identical kProceed to a worker that re-asks a barrier the run has
@@ -104,48 +104,14 @@ void write_manifest(io::Vfs& vfs, const std::string& path,
 [[nodiscard]] RunManifest read_manifest(io::Vfs& vfs,
                                         const std::string& path);
 
-/// The manifest directory discipline, mirroring ft::SnapshotDirectory:
-/// newest-first walk with quarantine-and-fall-back, atomic publish with
-/// monotone sequence numbers, bounded retention.
-class ManifestDirectory {
- public:
-  struct Entry {
-    std::uint64_t seq = 0;
-    std::string path;
-  };
+/// The run manifests' recovery directory ("manifest.<commit_seq>.ipman"
+/// files). Its walk takes read_manifest as the load callable:
+/// `dir.load_newest(read_manifest)` is the newest valid manifest.
+[[nodiscard]] ft::RecoveryDirectory manifest_directory(
+    std::string dir, io::Vfs* vfs = nullptr, std::size_t keep = 4);
 
-  /// `vfs` nullptr = the real filesystem; not owned.
-  explicit ManifestDirectory(std::string dir, io::Vfs* vfs = nullptr,
-                             std::size_t keep = 4);
-
-  /// All finished manifests, ascending by sequence, validity unknown.
-  /// A missing directory yields an empty list.
-  [[nodiscard]] std::vector<Entry> list() const;
-
-  /// The newest manifest that parses and validates, or nullopt when none
-  /// does. Unreadable/corrupt candidates on the way are renamed to
-  /// "<path>.quarantined" (best-effort) so they stop shadowing older good
-  /// manifests. A simulated power loss propagates.
-  [[nodiscard]] std::optional<RunManifest> newest_valid();
-
-  /// Atomically publishes `m` as manifest.<commit_seq>.ipman and prunes
-  /// retention to `keep` (newest by sequence). Throws io::IoError.
-  void publish(const RunManifest& m);
-
-  /// Path a given sequence number publishes to.
-  [[nodiscard]] std::string path_for(std::uint64_t seq) const;
-
-  [[nodiscard]] std::size_t quarantined() const noexcept {
-    return quarantined_;
-  }
-
- private:
-  void quarantine(const std::string& path);
-
-  std::string dir_;
-  io::Vfs* vfs_;
-  std::size_t keep_;
-  std::size_t quarantined_ = 0;
-};
+/// Atomically publishes `m` under its commit sequence, then applies
+/// retention. Throws io::IoError (PowerLoss included).
+void publish_manifest(ft::RecoveryDirectory& dir, const RunManifest& m);
 
 }  // namespace ipregel::shard

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +29,8 @@ inline constexpr int kCoordExitPowerCut = 9;
 namespace detail {
 
 inline constexpr std::uint64_t kResultMagic = 0x544C555352504900ULL;
+inline constexpr std::uint32_t kResultFieldsTag = 1;
+inline constexpr std::uint32_t kResultValuesTag = 2;
 
 [[nodiscard]] inline double resilient_now() noexcept {
   return std::chrono::duration<double>(
@@ -35,42 +38,17 @@ inline constexpr std::uint64_t kResultMagic = 0x544C555352504900ULL;
       .count();
 }
 
-[[nodiscard]] inline std::uint64_t resilient_double_bits(double v) noexcept {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-[[nodiscard]] inline double resilient_bits_double(std::uint64_t bits) noexcept {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-inline bool write_all(int fd, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    p += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Serialises a finished incarnation's outcome (+ final values when ok)
-/// into the self-framed, CRC-sealed result-pipe blob.
-inline void write_result_blob(int fd, const ShardOutcome& out,
-                              const std::vector<std::uint8_t>& values) {
+/// into the result-pipe blob: the shared ft binary framing (CRC-sealed
+/// sections, end-of-file trailer) over an in-memory buffer. The blob only
+/// ever travels from a coordinator child to the supervisor of the same
+/// build, so its layout is free to change.
+[[nodiscard]] inline std::string encode_result_blob(
+    const ShardOutcome& out, const std::vector<std::uint8_t>& values) {
   ft::FieldWriter fields;
   fields.u8(out.ok() ? 1 : 0);
   fields.u64(out.result.supersteps);
-  fields.u64(resilient_double_bits(out.result.seconds));
+  fields.f64(out.result.seconds);
   fields.u64(out.result.total_messages);
   fields.u64(out.result.total_executed_vertices);
   fields.u8(out.result.reached_superstep_cap ? 1 : 0);
@@ -80,28 +58,36 @@ inline void write_result_blob(int fd, const ShardOutcome& out,
     fields.u64(out.error->thread());
     fields.u64(out.error->vertex());
     const std::string detail = out.error->what();
-    fields.u32(static_cast<std::uint32_t>(detail.size()));
-    for (const char c : detail) {
-      fields.u8(static_cast<std::uint8_t>(c));
-    }
+    fields.blob(detail.data(), detail.size());
   }
   fields.u64(out.shard.respawns);
   fields.u64(out.shard.snapshot_recoveries);
   fields.u64(out.shard.heartbeat_kills);
-  fields.u64(resilient_double_bits(out.shard.recovery_seconds));
+  fields.f64(out.shard.recovery_seconds);
   fields.u64(out.shard.coordinator_takeovers);
   fields.u64(out.shard.adopted_workers);
-  fields.u64(resilient_double_bits(out.shard.coordinator_recovery_seconds));
+  fields.f64(out.shard.coordinator_recovery_seconds);
   fields.u64(out.shard.coordinator_fenced);
 
-  const std::vector<std::uint8_t>& fb = fields.bytes();
-  std::uint32_t crc = ft::crc32(fb.data(), fb.size());
-  crc = ft::crc32(values.data(), values.size(), crc);
-  const std::uint64_t header[3] = {kResultMagic, fb.size(), values.size()};
-  (void)(write_all(fd, header, sizeof(header)) &&
-         write_all(fd, fb.data(), fb.size()) &&
-         write_all(fd, values.data(), values.size()) &&
-         write_all(fd, &crc, sizeof(crc)));
+  std::ostringstream blob(std::ios::binary);
+  ft::BinaryWriter writer(blob, kResultMagic, 1);
+  writer.section(kResultFieldsTag, fields.bytes().data(),
+                 fields.bytes().size());
+  writer.section(kResultValuesTag, values.data(), values.size());
+  writer.finish();
+  return std::move(blob).str();
+}
+
+inline void write_result_blob(int fd, const ShardOutcome& out,
+                              const std::vector<std::uint8_t>& values) {
+  const std::string blob = encode_result_blob(out, values);
+  for (std::size_t done = 0; done < blob.size();) {
+    const ssize_t n = ::write(fd, blob.data() + done, blob.size() - done);
+    if (n < 0 && errno != EINTR) {
+      return;  // the supervisor reads a short blob as a crash
+    }
+    done += n > 0 ? static_cast<std::size_t>(n) : 0;
+  }
 }
 
 /// Parses a result-pipe blob. false = short / garbled / CRC mismatch,
@@ -109,37 +95,25 @@ inline void write_result_blob(int fd, const ShardOutcome& out,
 inline bool read_result_blob(const std::vector<std::uint8_t>& buf,
                              ShardOutcome* out,
                              std::vector<std::uint8_t>* values) {
-  if (buf.size() < 3 * sizeof(std::uint64_t) + sizeof(std::uint32_t)) {
-    return false;
-  }
-  std::uint64_t header[3];
-  std::memcpy(header, buf.data(), sizeof(header));
-  if (header[0] != kResultMagic) {
-    return false;
-  }
-  const std::size_t fields_len = header[1];
-  const std::size_t values_len = header[2];
-  const std::size_t need =
-      sizeof(header) + fields_len + values_len + sizeof(std::uint32_t);
-  if (buf.size() != need) {
-    return false;
-  }
-  const std::uint8_t* fields_at = buf.data() + sizeof(header);
-  const std::uint8_t* values_at = fields_at + fields_len;
-  std::uint32_t crc = 0;
-  std::memcpy(&crc, values_at + values_len, sizeof(crc));
-  std::uint32_t actual = ft::crc32(fields_at, fields_len);
-  actual = ft::crc32(values_at, values_len, actual);
-  if (actual != crc) {
-    return false;
-  }
   try {
-    const std::vector<std::uint8_t> fb(fields_at, fields_at + fields_len);
+    std::istringstream in(std::string(buf.begin(), buf.end()),
+                          std::ios::binary);
+    ft::BinaryReader reader(in, "coordinator result blob", kResultMagic, 1,
+                            1);
+    const std::vector<std::uint8_t> fb =
+        reader.expect_section(kResultFieldsTag);
+    std::vector<std::uint8_t> vals = reader.expect_section(kResultValuesTag);
+    std::uint32_t tag = 0;
+    std::vector<std::uint8_t> extra;
+    if (reader.next_section(tag, extra) ||
+        in.peek() != std::char_traits<char>::eof()) {
+      return false;
+    }
     ft::FieldReader r(fb, "coordinator result blob");
     const bool ok = r.u8() != 0;
     *out = ShardOutcome{};
     out->result.supersteps = static_cast<std::size_t>(r.u64());
-    out->result.seconds = resilient_bits_double(r.u64());
+    out->result.seconds = r.f64();
     out->result.total_messages = static_cast<std::size_t>(r.u64());
     out->result.total_executed_vertices = static_cast<std::size_t>(r.u64());
     out->result.reached_superstep_cap = r.u8() != 0;
@@ -148,23 +122,20 @@ inline bool read_result_blob(const std::vector<std::uint8_t>& buf,
       const auto superstep = static_cast<std::size_t>(r.u64());
       const auto thread = static_cast<std::size_t>(r.u64());
       const std::uint64_t vertex = r.u64();
-      const std::uint32_t len = r.u32();
-      std::string detail(len, '\0');
-      for (std::uint32_t i = 0; i < len; ++i) {
-        detail[i] = static_cast<char>(r.u8());
-      }
-      out->error.emplace(kind, superstep, thread, vertex, detail);
+      const std::vector<std::uint8_t> detail = r.blob();
+      out->error.emplace(kind, superstep, thread, vertex,
+                         std::string(detail.begin(), detail.end()));
     }
     out->shard.respawns = static_cast<std::size_t>(r.u64());
     out->shard.snapshot_recoveries = static_cast<std::size_t>(r.u64());
     out->shard.heartbeat_kills = static_cast<std::size_t>(r.u64());
-    out->shard.recovery_seconds = resilient_bits_double(r.u64());
+    out->shard.recovery_seconds = r.f64();
     out->shard.coordinator_takeovers = static_cast<std::size_t>(r.u64());
     out->shard.adopted_workers = static_cast<std::size_t>(r.u64());
-    out->shard.coordinator_recovery_seconds = resilient_bits_double(r.u64());
+    out->shard.coordinator_recovery_seconds = r.f64();
     out->shard.coordinator_fenced = static_cast<std::size_t>(r.u64());
     r.done();
-    values->assign(values_at, values_at + values_len);
+    *values = std::move(vals);
     return true;
   } catch (const ft::FormatError&) {
     return false;

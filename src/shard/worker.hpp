@@ -18,8 +18,8 @@
 
 #include "core/aggregator_traits.hpp"
 #include "core/program_traits.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
-#include "ft/snapshot_dir.hpp"
 #include "io/fault_wrap_vfs.hpp"
 #include "io/vfs.hpp"
 #include "shard/channel.hpp"
@@ -42,7 +42,7 @@ inline constexpr int kWorkerExitUnreachable = 6;  ///< reconnect budget spent
 
 /// Sentinel for WorkerConfig::resume_cap: no cut negotiation, restore to
 /// the newest valid snapshot as usual.
-inline constexpr std::uint64_t kNoResumeCap = ~0ULL;
+inline constexpr std::uint64_t kNoResumeCap = ft::RecoveryDirectory::kNoLimit;
 
 /// Everything one worker process needs, assembled by the coordinator
 /// pre-fork. References point into the parent's address space; fork's
@@ -115,10 +115,10 @@ class Worker {
       // Full-respawn cut negotiation: the takeover coordinator proposed a
       // cut; restore only up to it and report what was actually reached.
       if (cfg_.options->checkpoint.enabled() && cfg_.resume_cap > 0) {
-        restored = try_restore_capped(cfg_.resume_cap, resume, restored_mode);
+        restored = try_restore(cfg_.resume_cap, resume, restored_mode);
       }
     } else if (cfg_.generation > 0 && cfg_.options->checkpoint.enabled()) {
-      restored = try_restore(resume, restored_mode);
+      restored = try_restore(kNoResumeCap, resume, restored_mode);
     }
     if (!restored) {
       resume = 0;
@@ -291,81 +291,44 @@ class Worker {
            std::to_string(cfg_.me);
   }
 
-  /// Restores from the newest per-shard snapshot that passes structural
-  /// AND binding validation (graph, program, shard topology, slot range).
-  /// A scripted RestoreFault wraps the directory's filesystem in
-  /// io::ReadFaultVfs, so the newest snapshot reads as EIO, gets
-  /// quarantined, and the walk falls back a generation — all through the
-  /// production code path.
-  bool try_restore(std::uint64_t& resume, ft::CheckpointMode& mode) {
+  /// Restores from the newest per-shard snapshot at or below `cap` that
+  /// passes structural AND binding validation (graph, program, shard
+  /// topology, slot range); failing candidates are quarantined. Under cut
+  /// negotiation (`cap` set) snapshots above the proposed cut are
+  /// perfectly good and are left alone. A scripted RestoreFault wraps the
+  /// directory's filesystem in io::ReadFaultVfs, so the newest snapshot
+  /// reads as EIO, gets quarantined, and the walk falls back a generation
+  /// — all through the production code path.
+  bool try_restore(std::uint64_t cap, std::uint64_t& resume,
+                   ft::CheckpointMode& mode) {
     io::Vfs* base = cfg_.options->checkpoint.vfs;
     std::optional<io::ReadFaultVfs> faulty;
     for (const RestoreFault& rf : cfg_.options->restore_faults) {
-      if (rf.shard == cfg_.me && rf.generation == cfg_.generation) {
+      if (cap == kNoResumeCap && rf.shard == cfg_.me &&
+          rf.generation == cfg_.generation) {
         faulty.emplace(io::vfs_or_real(base), rf.fail_reads);
       }
     }
-    io::Vfs* vfs = faulty.has_value() ? &*faulty : base;
     ft::SnapshotDirectory dir(shard_dir(), cfg_.options->checkpoint.basename,
-                              vfs, cfg_.options->checkpoint.keep);
+                              faulty.has_value() ? &*faulty : base,
+                              cfg_.options->checkpoint.keep);
     const auto validator = [this](const ft::EngineSnapshot& snap) {
       return engine_.validate(snap, cfg_.graph_fp, bound_fp_);
     };
-    std::optional<ft::SnapshotDirectory::Entry> entry;
+    std::optional<ft::SnapshotDirectory::Loaded> found;
     try {
-      entry = dir.newest_valid(validator);
+      found = dir.newest_valid(validator, cap);
     } catch (const std::exception&) {
       return false;  // unreadable directory — restart from scratch
     }
-    if (!entry.has_value()) {
+    if (!found.has_value()) {
       return false;
     }
-    try {
-      const ft::EngineSnapshot snap = ft::read_snapshot(entry->path, vfs);
-      engine_.initialize();
-      engine_.restore(snap);
-      resume = snap.meta.superstep;
-      mode = snap.meta.mode;
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-
-  /// Cut-negotiation restore: the newest snapshot at or below `cap` that
-  /// fully validates. Unlike try_restore this must NOT quarantine newer
-  /// snapshots — they are perfectly good, just above the proposed cut —
-  /// so the walk filters by superstep before validating.
-  bool try_restore_capped(std::uint64_t cap, std::uint64_t& resume,
-                          ft::CheckpointMode& mode) {
-    io::Vfs* vfs = cfg_.options->checkpoint.vfs;
-    ft::SnapshotDirectory dir(shard_dir(), cfg_.options->checkpoint.basename,
-                              vfs, cfg_.options->checkpoint.keep);
-    std::vector<ft::SnapshotDirectory::Entry> entries;
-    try {
-      entries = dir.list();
-    } catch (const std::exception&) {
-      return false;
-    }
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-      if (it->superstep > cap) {
-        continue;
-      }
-      try {
-        const ft::EngineSnapshot snap = ft::read_snapshot(it->path, vfs);
-        if (engine_.validate(snap, cfg_.graph_fp, bound_fp_) != nullptr) {
-          continue;
-        }
-        engine_.initialize();
-        engine_.restore(snap);
-        resume = snap.meta.superstep;
-        mode = snap.meta.mode;
-        return true;
-      } catch (const std::exception&) {
-        continue;  // torn/unreadable: fall back a generation
-      }
-    }
-    return false;
+    engine_.initialize();
+    engine_.restore(found->snapshot);
+    resume = found->superstep;
+    mode = found->snapshot.meta.mode;
+    return true;
   }
 
   /// Full-respawn rebuild of the in-flight state at a lightweight cut:
@@ -483,14 +446,14 @@ class Worker {
       if (!vfs.exists(shard_dir())) {
         vfs.mkdir(shard_dir());
       }
-      const auto snap =
-          engine_.capture(p.mode, resume, cfg_.graph_fp, bound_fp_);
-      ft::write_snapshot(ft::snapshot_path(shard_dir(), p.basename, resume),
-                         snap, p.vfs);
-      ft::SnapshotDirectory dir(shard_dir(), p.basename, p.vfs, p.keep);
-      dir.prune([this](const ft::EngineSnapshot& s) {
-        return engine_.validate(s, cfg_.graph_fp, bound_fp_);
-      });
+      if (!checkpoint_dir_.has_value()) {
+        checkpoint_dir_.emplace(shard_dir(), p.basename, p.vfs, p.keep);
+      }
+      checkpoint_dir_->publish(
+          engine_.capture(p.mode, resume, cfg_.graph_fp, bound_fp_),
+          [this](const ft::EngineSnapshot& s) {
+            return engine_.validate(s, cfg_.graph_fp, bound_fp_);
+          });
     } catch (const std::exception&) {
       // Losing one checkpoint costs recomputation, not correctness; the
       // next trigger retries.
@@ -718,6 +681,9 @@ class Worker {
   std::deque<RetainedGen> retained_;
   std::deque<CtrlMsg> deferred_recover_;
   std::vector<ShardFault> armed_;
+  /// Publishes and retains this shard's snapshots; created at the first
+  /// checkpoint.
+  std::optional<ft::SnapshotDirectory> checkpoint_dir_;
 
   double last_heartbeat_ = 0.0;
   bool in_push_ = false;

@@ -141,11 +141,12 @@ TEST(SnapshotFile, LatestAndPrune) {
                      sample_snapshot());
   std::ofstream(dir.str() + "/snapshot.notanumber.ipsnap") << "x";
 
-  const auto latest = ft::latest_snapshot(dir.str(), "snapshot");
+  ft::SnapshotDirectory snapshots(dir.str(), "snapshot", nullptr, 2);
+  const auto latest = snapshots.newest_valid();
   ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(*latest, ft::snapshot_path(dir.str(), "snapshot", 10));
+  EXPECT_EQ(latest->path, ft::snapshot_path(dir.str(), "snapshot", 10));
 
-  ft::prune_snapshots(dir.str(), "snapshot", 2);
+  snapshots.prune();
   EXPECT_FALSE(std::filesystem::exists(
       ft::snapshot_path(dir.str(), "snapshot", 2)));
   EXPECT_FALSE(std::filesystem::exists(
@@ -157,7 +158,8 @@ TEST(SnapshotFile, LatestAndPrune) {
   EXPECT_TRUE(std::filesystem::exists(
       ft::snapshot_path(dir.str(), "other", 99)));
 
-  EXPECT_FALSE(ft::latest_snapshot(dir.str(), "missing").has_value());
+  EXPECT_FALSE(
+      ft::SnapshotDirectory(dir.str(), "missing").newest_valid().has_value());
 }
 
 // ---- engine capture / restore ------------------------------------------
@@ -269,7 +271,7 @@ TEST(EngineCheckpoint, RunnerRejectsResumeOnWrongGraphOrVersion) {
   options.checkpoint.directory = dir.str();
   const VersionId version{CombinerKind::kSpinlockPush, true};
   (void)run_version(g, apps::Hashmin{}, version, options);
-  const auto snap_path = ft::latest_snapshot(dir.str(), "snapshot");
+  const auto snap_path = ipregel::testing::newest_snapshot(dir.str());
   ASSERT_TRUE(snap_path.has_value());
 
   // Wrong graph: rejected before any engine is built.

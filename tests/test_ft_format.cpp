@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -164,6 +165,32 @@ TEST(FieldCodec, RoundTripsAndRejectsLeftovers) {
   EXPECT_THROW((void)past_end.u32(), FormatError);
 }
 
+TEST(FieldCodec, RoundTripsDoublesAndBlobs) {
+  const std::string text = "detail text";
+  ft::FieldWriter w;
+  w.f64(-0.1);
+  w.blob(text.data(), text.size());
+  w.blob(nullptr, 0);
+  w.f64(1e300);
+  // A blob is a u32 byte count, then the bytes.
+  ASSERT_EQ(w.bytes().size(), 8 + 4 + text.size() + 4 + 8);
+
+  ft::FieldReader r(w.bytes(), "test");
+  EXPECT_EQ(r.f64(), -0.1);
+  const std::vector<std::uint8_t> got = r.blob();
+  EXPECT_EQ(std::string(got.begin(), got.end()), text);
+  EXPECT_TRUE(r.blob().empty());
+  EXPECT_EQ(r.f64(), 1e300);
+  r.done();
+
+  // A blob whose declared count runs past the payload is a format error.
+  ft::FieldWriter lying;
+  lying.u32(100);
+  lying.u8(1);
+  ft::FieldReader bad(lying.bytes(), "test");
+  EXPECT_THROW((void)bad.blob(), FormatError);
+}
+
 // ---- the retrofitted graph binary cache --------------------------------
 
 class TempPath {
@@ -189,6 +216,45 @@ graph::EdgeList weighted_list() {
   list.add(1, 2, 7);
   list.add(2, 0, 1);
   return list;
+}
+
+TEST(BinaryFormat, CorruptSectionLengthFailsWithoutAHugeAllocation) {
+  // One flipped bit in a section's u64 length field must fail as a typed
+  // truncation, with memory bounded by what the file really holds — not
+  // as std::length_error/bad_alloc, and not by zero-filling gigabytes.
+  // The first section's length sits at offset 20..27 (header 16, tag 4);
+  // byte 23 makes it claim 1 GiB more, byte 27 (the high byte) 2^62.
+  const TempPath path;
+  {
+    std::ofstream out(path.str(), std::ios::binary);
+    BinaryWriter writer(out, kMagic, 3);
+    const std::vector<std::uint8_t> payload(64, 0x5A);
+    writer.section(10, payload.data(), payload.size());
+    writer.finish();
+  }
+  std::string clean;
+  {
+    std::ifstream in(path.str(), std::ios::binary);
+    clean.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  for (std::size_t at = 23; at <= 27; ++at) {
+    std::string bytes = clean;
+    bytes[at] = static_cast<char>(bytes[at] | 0x40);
+    {
+      std::ofstream out(path.str(), std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::ifstream in(path.str(), std::ios::binary);
+    BinaryReader reader(in, path.str(), kMagic, 1, 5);
+    std::uint32_t tag = 0;
+    std::vector<std::uint8_t> payload;
+    EXPECT_THROW((void)reader.next_section(tag, payload), FormatError)
+        << "length byte " << at;
+    // The buffer the failed read grew is the allocation it made.
+    EXPECT_LE(payload.capacity(), std::size_t{2} << 20)
+        << "length byte " << at;
+  }
 }
 
 TEST(EdgeListBinary, CorruptedCacheIsRejected) {

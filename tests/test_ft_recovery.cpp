@@ -100,7 +100,7 @@ void expect_crash_equivalence(const CsrGraph& g, Program program,
     return;
   }
 
-  const auto snapshot = ft::latest_snapshot(dir.str(), "snapshot");
+  const auto snapshot = ipregel::testing::newest_snapshot(dir.str());
   ASSERT_TRUE(snapshot.has_value()) << "crash left no snapshot behind";
   const ft::SnapshotMeta meta = ft::read_snapshot_meta(*snapshot);
   ASSERT_LE(meta.superstep, crashing.fault.superstep);
@@ -213,7 +213,7 @@ TEST(CrashEquivalence, LightweightSnapshotResumesUnderDifferentVersion) {
                                  crashing),
                ft::InjectedFault);
 
-  const auto snapshot = ft::latest_snapshot(dir.str(), "snapshot");
+  const auto snapshot = ipregel::testing::newest_snapshot(dir.str());
   ASSERT_TRUE(snapshot.has_value());
   std::vector<graph::vid_t> recovered;
   (void)run_version(g, apps::Hashmin{}, VersionId{CombinerKind::kPull, true},
@@ -263,7 +263,7 @@ TEST(CrashEquivalence, PullBarrierSnapshotResumesFixedAndAdaptive) {
       crashing.fault.after_compute_calls = 0;
       EXPECT_THROW((void)run_version(g, apps::Hashmin{}, version, crashing),
                    ft::InjectedFault);
-      const auto path = ft::latest_snapshot(dir.str(), "snapshot");
+      const auto path = ipregel::testing::newest_snapshot(dir.str());
       ASSERT_TRUE(path.has_value());
       const ft::EngineSnapshot snap = ft::read_snapshot(*path);
       ASSERT_EQ(snap.meta.superstep, at);

@@ -20,8 +20,8 @@
 #include "apps/pagerank.hpp"
 #include "apps/sssp.hpp"
 #include "core/runner.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
-#include "ft/snapshot_dir.hpp"
 #include "ft/supervisor.hpp"
 #include "graph/generators.hpp"
 #include "integrity/checksum.hpp"
@@ -350,9 +350,9 @@ TEST(VerifiedRecovery, CorruptButCrcValidSnapshotIsQuarantined) {
   ckpt.checkpoint.keep = 0;  // retain every snapshot for this test
   (void)run_version(g, apps::Hashmin{}, version, ckpt);
 
-  const auto snaps = ft::list_snapshots(dir.str(), "snapshot");
+  const auto snaps = ft::SnapshotDirectory(dir.str()).list();
   ASSERT_GE(snaps.size(), 2u) << "need an older snapshot to fall back to";
-  const std::string& newest = snaps.back().second;
+  const std::string& newest = snaps.back().path;
   ft::EngineSnapshot snap = ft::read_snapshot(newest);
   ASSERT_EQ(snap.meta.value_size, sizeof(graph::vid_t));
   // Slot 0 holds label 0 (its own id is the component minimum): raise it.
@@ -406,9 +406,9 @@ TEST(VerifiedRecovery, WithoutValueAuditTierSnapshotIsAccepted) {
   ckpt.checkpoint.keep = 0;
   (void)run_version(g, apps::Hashmin{}, version, ckpt, nullptr, &clean);
 
-  const auto snaps = ft::list_snapshots(dir.str(), "snapshot");
+  const auto snaps = ft::SnapshotDirectory(dir.str()).list();
   ASSERT_GE(snaps.size(), 2u);
-  const std::string& newest = snaps.back().second;
+  const std::string& newest = snaps.back().path;
   ft::EngineSnapshot snap = ft::read_snapshot(newest);
   snap.values[1] = 0x7F;
   ft::write_snapshot(newest, snap);

@@ -14,8 +14,8 @@
 
 #include "apps/hashmin.hpp"
 #include "core/runner.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
-#include "ft/snapshot_dir.hpp"
 #include "ft/supervisor.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -81,19 +81,35 @@ void corrupt(const std::string& path) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
-TEST(ParseSnapshotFilename, AcceptsOnlyFinishedSnapshots) {
-  EXPECT_EQ(ft::parse_snapshot_filename("snapshot.12.ipsnap", "snapshot"),
-            std::uint64_t{12});
-  EXPECT_EQ(ft::parse_snapshot_filename("cp.0.ipsnap", "cp"),
-            std::uint64_t{0});
+TEST(RecoveryDirectoryListing, AcceptsOnlyFinishedSnapshots) {
+  const ft::RecoveryDirectory snapshot("d", "snapshot.", ft::kSnapshotSuffix);
+  const ft::RecoveryDirectory cp("d", "cp.", ft::kSnapshotSuffix);
+  EXPECT_EQ(snapshot.parse("snapshot.12.ipsnap"), std::uint64_t{12});
+  EXPECT_EQ(cp.parse("cp.0.ipsnap"), std::uint64_t{0});
   // In-flight, quarantined, foreign, and malformed names are invisible.
-  EXPECT_FALSE(
-      ft::parse_snapshot_filename("snapshot.12.ipsnap.tmp", "snapshot"));
-  EXPECT_FALSE(ft::parse_snapshot_filename("snapshot.12.ipsnap.quarantined",
-                                           "snapshot"));
-  EXPECT_FALSE(ft::parse_snapshot_filename("other.12.ipsnap", "snapshot"));
-  EXPECT_FALSE(ft::parse_snapshot_filename("snapshot..ipsnap", "snapshot"));
-  EXPECT_FALSE(ft::parse_snapshot_filename("snapshot.1x.ipsnap", "snapshot"));
+  EXPECT_FALSE(snapshot.parse("snapshot.12.ipsnap.tmp"));
+  EXPECT_FALSE(snapshot.parse("snapshot.12.ipsnap.quarantined"));
+  EXPECT_FALSE(snapshot.parse("other.12.ipsnap"));
+  EXPECT_FALSE(snapshot.parse("snapshot..ipsnap"));
+  EXPECT_FALSE(snapshot.parse("snapshot.1x.ipsnap"));
+}
+
+TEST(RecoveryDirectoryListing, ListsFinishedFilesInNumericOrder) {
+  TempDir dir;
+  for (const char* name :
+       {"snapshot.10.ipsnap", "snapshot.9.ipsnap", "snapshot.100.ipsnap",
+        "snapshot.12.ipsnap.tmp", "snapshot.12.ipsnap.quarantined",
+        "other.12.ipsnap", "snapshot..ipsnap", "snapshot.1x.ipsnap"}) {
+    std::ofstream(dir.str() + "/" + name) << "x";
+  }
+  const ft::RecoveryDirectory snapshots(dir.str(), "snapshot.",
+                                        ft::kSnapshotSuffix);
+  const auto entries = snapshots.list();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].seq, 9u);
+  EXPECT_EQ(entries[1].seq, 10u);
+  EXPECT_EQ(entries[2].seq, 100u);
+  EXPECT_EQ(entries[2].path, snapshots.path_for(100));
 }
 
 TEST(SnapshotDirectoryTest, MissingDirectoryIsEmpty) {

@@ -1,5 +1,6 @@
 // The durable run manifest: round-trip fidelity, identity digests,
-// newest-valid fallback with quarantine, bounded retention, and — the
+// newest-valid fallback with quarantine, bounded retention, the walk's
+// handling of a dead disk and a corrupt length field, and — the
 // property coordinator takeover stands on — a power cut at EVERY mutating
 // syscall of a publish leaves the directory either at the old manifest or
 // at the new one, never at garbage and never empty.
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "io/fault_wrap_vfs.hpp"
+#include "io/faulty_vfs.hpp"
 #include "io/vfs.hpp"
 #include "shard/manifest.hpp"
 
@@ -135,9 +137,9 @@ TEST(ShardManifest, OptionsDigestSeparatesIncompatibleRuns) {
 
 TEST(ShardManifest, NewestValidQuarantinesCorruptAndFallsBack) {
   TempDir dir("fb");
-  ManifestDirectory mdir(dir.str());
-  mdir.publish(sample_manifest(1));
-  mdir.publish(sample_manifest(2));
+  ft::RecoveryDirectory mdir = manifest_directory(dir.str());
+  publish_manifest(mdir, sample_manifest(1));
+  publish_manifest(mdir, sample_manifest(2));
 
   // Corrupt the newest in place: flip a byte in the middle.
   const std::string newest = mdir.path_for(2);
@@ -149,8 +151,8 @@ TEST(ShardManifest, NewestValidQuarantinesCorruptAndFallsBack) {
     f.put('\xEE');
   }
 
-  ManifestDirectory fresh(dir.str());
-  const auto got = fresh.newest_valid();
+  ft::RecoveryDirectory fresh = manifest_directory(dir.str());
+  const auto got = fresh.load_newest(read_manifest);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->commit_seq, 1u);
   EXPECT_EQ(fresh.quarantined(), 1u);
@@ -160,30 +162,31 @@ TEST(ShardManifest, NewestValidQuarantinesCorruptAndFallsBack) {
 
 TEST(ShardManifest, EmptyAndForeignFilesYieldNothing) {
   TempDir dir("empty");
-  ManifestDirectory mdir(dir.str());
-  EXPECT_FALSE(mdir.newest_valid().has_value());
+  ft::RecoveryDirectory mdir = manifest_directory(dir.str());
+  EXPECT_FALSE(mdir.load_newest(read_manifest).has_value());
   // Foreign names and tmp leftovers are ignored by the walk.
   std::ofstream(dir.str() + "/values.bin") << "x";
   std::ofstream(dir.str() + "/manifest.000000000009.ipman.tmp") << "y";
-  EXPECT_FALSE(mdir.newest_valid().has_value());
+  EXPECT_FALSE(mdir.load_newest(read_manifest).has_value());
   // A missing directory is "no manifests", not an error.
-  ManifestDirectory gone(dir.str() + "/nope");
-  EXPECT_FALSE(gone.newest_valid().has_value());
+  ft::RecoveryDirectory gone = manifest_directory(dir.str() + "/nope");
+  EXPECT_FALSE(gone.load_newest(read_manifest).has_value());
 }
 
 TEST(ShardManifest, RetentionPrunesOldestButKeepsTheWindow) {
   TempDir dir("keep");
-  ManifestDirectory mdir(dir.str(), nullptr, /*keep=*/3);
+  ft::RecoveryDirectory mdir = manifest_directory(dir.str(), nullptr,
+                                                  /*keep=*/3);
   for (std::uint64_t seq = 1; seq <= 6; ++seq) {
     RunManifest m = sample_manifest(seq);
     m.barrier_superstep = seq;
-    mdir.publish(m);
+    publish_manifest(mdir, m);
   }
   const auto entries = mdir.list();
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries.front().seq, 4u);
   EXPECT_EQ(entries.back().seq, 6u);
-  const auto got = mdir.newest_valid();
+  const auto got = mdir.load_newest(read_manifest);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->barrier_superstep, 6u);
 }
@@ -198,19 +201,19 @@ TEST(ShardManifest, PowerCutAtEverySyscallOfAPublishIsAtomic) {
   for (std::uint64_t at = 0;; ++at) {
     TempDir dir("cut" + std::to_string(at));
     {
-      ManifestDirectory setup(dir.str());
-      setup.publish(sample_manifest(1));
+      ft::RecoveryDirectory setup = manifest_directory(dir.str());
+      publish_manifest(setup, sample_manifest(1));
     }
     io::WriteCutVfs cut(real, at, "manifest.");
-    ManifestDirectory cutting(dir.str(), &cut);
+    ft::RecoveryDirectory cutting = manifest_directory(dir.str(), &cut);
     bool lost_power = false;
     try {
-      cutting.publish(sample_manifest(2));
+      publish_manifest(cutting, sample_manifest(2));
     } catch (const io::PowerLoss&) {
       lost_power = true;
     }
-    ManifestDirectory after(dir.str());
-    const auto got = after.newest_valid();
+    ft::RecoveryDirectory after = manifest_directory(dir.str());
+    const auto got = after.load_newest(read_manifest);
     ASSERT_TRUE(got.has_value()) << "cut at op " << at;
     EXPECT_TRUE(got->commit_seq == 1 || got->commit_seq == 2)
         << "cut at op " << at;
@@ -224,6 +227,43 @@ TEST(ShardManifest, PowerCutAtEverySyscallOfAPublishIsAtomic) {
       break;
     }
   }
+}
+
+// --- walk regressions --------------------------------------------------------
+
+TEST(ShardManifest, WalkPropagatesPowerLossInsteadOfReportingNoManifest) {
+  // A dead disk is not an empty directory: a takeover that read "no
+  // manifest" here would boot a fresh run over a live one.
+  io::FaultyVfs vfs;
+  vfs.mkdir("/run");
+  ft::RecoveryDirectory mdir = manifest_directory("/run", &vfs);
+  publish_manifest(mdir, sample_manifest(1));
+  vfs.set_plan({io::FaultyVfs::FaultKind::kPowerCut, 1});
+  EXPECT_THROW(vfs.mkdir("/trip"), io::PowerLoss);
+  ASSERT_TRUE(vfs.power_is_cut());
+  EXPECT_THROW((void)mdir.load_newest(read_manifest), io::PowerLoss);
+}
+
+TEST(ShardManifest, CorruptSectionLengthIsQuarantinedNotThrown) {
+  TempDir dir("len");
+  ft::RecoveryDirectory mdir = manifest_directory(dir.str());
+  publish_manifest(mdir, sample_manifest(1));
+  publish_manifest(mdir, sample_manifest(2));
+  // Set the high byte of the first section's u64 length (header 16 bytes,
+  // tag 4, length at 20..27): the file now claims a ~2^63-byte section.
+  const std::string newest = mdir.path_for(2);
+  {
+    std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(27);
+    f.put('\x80');
+  }
+  ft::RecoveryDirectory fresh = manifest_directory(dir.str());
+  const auto got = fresh.load_newest(read_manifest);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->commit_seq, 1u);
+  EXPECT_EQ(fresh.quarantined(), 1u);
+  EXPECT_TRUE(std::filesystem::exists(newest + ".quarantined"));
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 
 #include "apps/hashmin.hpp"
 #include "apps/sssp.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
-#include "ft/snapshot_dir.hpp"
 #include "shard/coordinator.hpp"
 #include "test_util.hpp"
 

@@ -59,7 +59,7 @@ std::string checkpointed_run(const CsrGraph& g, Program program,
   options.checkpoint.mode = ft::CheckpointMode::kHeavyweight;
   options.checkpoint.directory = dir;
   (void)run_version(g, program, version, options);
-  const auto newest = ft::latest_snapshot(dir, "snapshot");
+  const auto newest = ipregel::testing::newest_snapshot(dir);
   EXPECT_TRUE(newest.has_value());
   return newest.value_or("");
 }

@@ -2,14 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/runner.hpp"
+#include "ft/recovery_dir.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 
 namespace ipregel::testing {
+
+/// Path of the newest snapshot in `dir` (basename "snapshot") that fully
+/// validates, or nullopt when there is none.
+inline std::optional<std::string> newest_snapshot(const std::string& dir) {
+  const auto found = ft::SnapshotDirectory(dir).newest_valid();
+  if (!found.has_value()) {
+    return std::nullopt;
+  }
+  return found->path;
+}
 
 /// Builds a CSR with in-edges (so every combiner version can run) under the
 /// given addressing mode.

@@ -56,10 +56,11 @@ int main() {
     std::printf("crashed:       %s\n", crash.what());
   }
 
-  // 3. Recovery: resume from the newest snapshot. The engine validates it
-  // first (graph fingerprint, format version, per-section checksums) and
-  // — since this is a lightweight snapshot — regenerates the in-flight
-  // messages from the restored distances via Sssp::resend.
+  // 3. Recovery: resume from the newest snapshot. The directory walk loads
+  // it and checks its format version and per-section checksums; the engine
+  // checks the loaded snapshot against the run (graph and program
+  // fingerprints) and — since this is a lightweight snapshot — regenerates
+  // the in-flight messages from the restored distances via Sssp::resend.
   const auto snapshot = ft::SnapshotDirectory(dir).newest_valid();
   if (!snapshot) {
     std::printf("no snapshot found\n");
@@ -69,7 +70,7 @@ int main() {
 
   std::vector<std::uint32_t> recovered;
   const RunResult resumed = run_version(g, program, version, {}, nullptr,
-                                        &recovered, snapshot->path);
+                                        &recovered, &snapshot->snapshot);
   std::printf("resumed run:   %zu supersteps total (re-ran %zu)\n",
               resumed.supersteps,
               resumed.supersteps - snapshot->superstep);

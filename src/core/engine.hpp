@@ -21,6 +21,7 @@
 #include "core/frontier.hpp"
 #include "core/mailbox.hpp"
 #include "core/program_traits.hpp"
+#include "ft/checkpoint_contract.hpp"
 #include "ft/fingerprint.hpp"
 #include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
@@ -347,24 +348,14 @@ class Engine {
     return superstep_loop();
   }
 
-  /// run_from() with failures surfaced as data (see run_checked).
-  RunOutcome run_from_checked(const ft::EngineSnapshot& snapshot) {
-    return to_outcome([&] { return run_from(snapshot); });
-  }
-
-  /// True when Program provides the `resend(ctx)` hook that lightweight
-  /// recovery uses to regenerate in-flight messages from vertex values.
-  [[nodiscard]] static constexpr bool resend_capable() noexcept {
-    return kResendCapable;
-  }
-
  private:
   RunResult superstep_loop() {
     RunResult result;
     if (graph_.num_slots() == 0) {
       return result;
     }
-    if (options_.integrity.checksums && !kTriviallyCheckpointable) {
+    if (options_.integrity.checksums &&
+        !ft::kTriviallyCheckpointable<Program>) {
       throw std::invalid_argument(
           "integrity checksums digest vertex values and messages as raw "
           "bytes; this program's types are not trivially copyable");
@@ -545,44 +536,27 @@ class Engine {
   /// Heavyweight captures values, halted flags, the pending combined
   /// mailbox generation, the bypass frontier, and aggregator state;
   /// lightweight captures values + halted flags only and therefore
-  /// requires a resend-capable, aggregator-free program (rejected here,
-  /// at capture time, not at the far end of a recovery).
+  /// requires a ft::kLightweightCapable program (rejected here, at capture
+  /// time, not at the far end of a recovery).
   [[nodiscard]] ft::EngineSnapshot capture_state(
       ft::CheckpointMode mode) const {
-    if constexpr (!kTriviallyCheckpointable) {
+    if constexpr (!ft::kTriviallyCheckpointable<Program>) {
       (void)mode;
       throw std::logic_error(
           "checkpointing serialises vertex values and messages as raw "
           "bytes; this program's types are not trivially copyable");
     } else {
-    if (mode == ft::CheckpointMode::kLightweight) {
-      if constexpr (!kResendCapable) {
-        throw std::invalid_argument(
-            "lightweight checkpointing requires the program to provide "
-            "resend(ctx) so recovery can regenerate in-flight messages");
-      }
-      if constexpr (HasAggregator<Program>) {
-        throw std::invalid_argument(
-            "lightweight checkpointing cannot capture aggregator state; "
-            "use heavyweight mode for aggregator programs");
-      }
+    if (mode == ft::CheckpointMode::kLightweight &&
+        !ft::kLightweightCapable<Program>) {
+      throw std::invalid_argument(
+          "lightweight checkpointing needs a resend(ctx) hook to regenerate "
+          "in-flight messages and cannot capture aggregator state; use "
+          "heavyweight mode");
     }
     const std::size_t slots = graph_.num_slots();
     ft::EngineSnapshot snap;
+    snap.meta = ft::bound_meta(binding(), mode, superstep_);
     ft::SnapshotMeta& m = snap.meta;
-    m.mode = mode;
-    m.combiner = static_cast<std::uint8_t>(Combiner);
-    m.selection_bypass = Bypass;
-    m.has_aggregator = HasAggregator<Program>;
-    m.superstep = superstep_;
-    m.num_slots = slots;
-    m.first_slot = graph_.first_slot();
-    m.num_vertices = graph_.num_vertices();
-    m.num_edges = graph_.num_edges();
-    m.graph_fingerprint = fingerprint();
-    m.program_fingerprint = program_fingerprint<Program>();
-    m.value_size = sizeof(Value);
-    m.message_size = sizeof(Msg);
     snap.values.resize(slots * sizeof(Value));
     std::memcpy(snap.values.data(), values_.data(), snap.values.size());
     snap.halted = halted_;
@@ -619,84 +593,28 @@ class Engine {
     }
   }
 
-  /// Restores engine state from a snapshot, validating it first: graph
-  /// fingerprint and shape, value/message sizes, and — for heavyweight
-  /// snapshots — that this engine's version can consume the captured
-  /// mailbox layout (same combiner family, same bypass setting). Rejects
-  /// with ft::SnapshotMismatch before touching any engine state, so a bad
-  /// snapshot never leaves the engine half-restored.
+  /// Restores engine state from a snapshot, validating it first against
+  /// this engine's binding (ft::binding_mismatch: graph and program
+  /// fingerprints, shape, value/message sizes, and — for heavyweight
+  /// snapshots — the same mailbox layout family and bypass setting).
+  /// Rejects with ft::SnapshotMismatch before touching any engine state,
+  /// so a bad snapshot never leaves the engine half-restored.
   ///
   /// Lightweight snapshots carry no mailbox state and therefore restore
   /// under ANY version of the program — a crashed spinlock-push run can
   /// resume under pull — at the cost of one message-regeneration pass via
   /// Program::resend.
   void restore_state(const ft::EngineSnapshot& snap) {
-    if constexpr (!kTriviallyCheckpointable) {
+    if constexpr (!ft::kTriviallyCheckpointable<Program>) {
       (void)snap;
       throw std::logic_error(
           "checkpoint recovery deserialises raw bytes; this program's "
           "types are not trivially copyable");
     } else {
     const ft::SnapshotMeta& m = snap.meta;
-    const auto reject = [](const std::string& what) {
-      throw ft::SnapshotMismatch("snapshot rejected: " + what);
-    };
-    if (m.num_slots != graph_.num_slots() ||
-        m.first_slot != graph_.first_slot() ||
-        m.num_vertices != graph_.num_vertices() ||
-        m.num_edges != graph_.num_edges()) {
-      reject("graph shape differs (|V|, |E|, or slot layout)");
+    if (const char* why = ft::binding_mismatch(m, binding())) {
+      throw ft::SnapshotMismatch(std::string("snapshot rejected: ") + why);
     }
-    if (m.graph_fingerprint != fingerprint()) {
-      reject("graph fingerprint differs — this snapshot was taken on a "
-             "different graph");
-    }
-    // Program-identity binding: a snapshot of application A must never be
-    // reinterpreted as application B's state, even when the raw value
-    // bytes happen to have the same width (Hashmin labels and SSSP
-    // distances are both 4 bytes — and mean entirely different things).
-    // Format-v1 snapshots carry no fingerprint (0) and skip this check.
-    if (m.program_fingerprint != 0 &&
-        m.program_fingerprint != program_fingerprint<Program>()) {
-      reject("program fingerprint differs — this snapshot belongs to a "
-             "different application (or an incompatible value/message "
-             "layout of the same one)");
-    }
-    if (m.value_size != sizeof(Value)) {
-      reject("vertex value size differs (snapshot " +
-             std::to_string(m.value_size) + " bytes, program " +
-             std::to_string(sizeof(Value)) + ")");
-    }
-    if (m.mode == ft::CheckpointMode::kHeavyweight) {
-      if (m.message_size != sizeof(Msg)) {
-        reject("message size differs (snapshot " +
-               std::to_string(m.message_size) + " bytes, program " +
-               std::to_string(sizeof(Msg)) + ")");
-      }
-      const bool snap_pull =
-          static_cast<CombinerKind>(m.combiner) == CombinerKind::kPull;
-      if (snap_pull != (Combiner == CombinerKind::kPull)) {
-        reject("combiner family differs (push mailboxes and pull outboxes "
-               "are not interchangeable); use a lightweight snapshot to "
-               "resume across versions");
-      }
-      if (m.selection_bypass != Bypass) {
-        reject("selection-bypass setting differs; use a lightweight "
-               "snapshot to resume across versions");
-      }
-      if (m.has_aggregator != HasAggregator<Program>) {
-        reject("aggregator support differs between snapshot and program");
-      }
-    } else {
-      if constexpr (!kResendCapable) {
-        reject("lightweight recovery requires the program to provide "
-               "resend(ctx)");
-      }
-      if constexpr (HasAggregator<Program>) {
-        reject("lightweight snapshots cannot restore aggregator state");
-      }
-    }
-
     superstep_ = m.superstep;
     std::memcpy(values_.data(), snap.values.data(), snap.values.size());
     halted_.assign(snap.halted.begin(), snap.halted.end());
@@ -727,7 +645,7 @@ class Engine {
                     snap.aggregate.size());
       }
     } else {
-      if constexpr (kResendCapable) {
+      if constexpr (ft::kResendCapable<Program>) {
         regenerate_messages();
       }
     }
@@ -779,15 +697,6 @@ class Engine {
     Cursor& cursor;
   };
 
-  /// Detected from Program: lightweight recovery needs `resend(ctx)`.
-  static constexpr bool kResendCapable =
-      requires(const Program& p, Context& c) { p.resend(c); };
-  /// Snapshots memcpy values and messages; non-trivially-copyable types
-  /// cannot be checkpointed (rejected at runtime, not compile time, so
-  /// such programs still run with checkpointing off).
-  static constexpr bool kTriviallyCheckpointable =
-      std::is_trivially_copyable_v<Value> &&
-      std::is_trivially_copyable_v<Msg>;
   /// The shadow-recompute tier compares a replayed value against the
   /// stored one: via operator== when the type provides it (padded structs
   /// must not be memcmp'd), via memcmp otherwise.
@@ -819,6 +728,22 @@ class Engine {
     } else {
       throw std::invalid_argument(kNoFingerprint);
     }
+  }
+
+  /// This engine's snapshot identity (see ft::SnapshotBinding).
+  [[nodiscard]] ft::SnapshotBinding binding() const {
+    return {.meta = {.combiner = static_cast<std::uint8_t>(Combiner),
+                     .selection_bypass = Bypass,
+                     .has_aggregator = HasAggregator<Program>,
+                     .num_slots = graph_.num_slots(),
+                     .first_slot = graph_.first_slot(),
+                     .num_vertices = graph_.num_vertices(),
+                     .num_edges = graph_.num_edges(),
+                     .graph_fingerprint = fingerprint(),
+                     .program_fingerprint = program_fingerprint<Program>(),
+                     .value_size = sizeof(Value),
+                     .message_size = sizeof(Msg)},
+            .lightweight_capable = ft::kLightweightCapable<Program>};
   }
 
   void reset_checkpoint_pacing() noexcept {
@@ -1137,7 +1062,7 @@ class Engine {
   /// when the flag is set: a flip in a dead mailbox slot is masked by
   /// construction (the engine never reads those bytes).
   void collect_checksums(integrity::SectionChecksums& out) {
-    if constexpr (kTriviallyCheckpointable) {
+    if constexpr (ft::kTriviallyCheckpointable<Program>) {
       const std::size_t first = graph_.first_slot();
       const std::size_t n = graph_.num_slots() - first;
       const std::size_t parts = integrity::section_count(n);
@@ -1520,7 +1445,8 @@ class Engine {
         audit_.has_prev = superstep_ > 0;
       }
     }
-    if (options_.integrity.checksums && kTriviallyCheckpointable) {
+    if (options_.integrity.checksums &&
+        ft::kTriviallyCheckpointable<Program>) {
       collect_checksums(checks_);
       checks_.superstep = superstep_;
       checks_.armed = true;

@@ -128,7 +128,8 @@ class RunError : public std::runtime_error {
         kind_(kind),
         superstep_(superstep),
         thread_(thread),
-        vertex_(vertex) {}
+        vertex_(vertex),
+        detail_(detail) {}
 
   [[nodiscard]] RunErrorKind kind() const noexcept { return kind_; }
   /// Superstep in flight (or about to start) when the failure surfaced.
@@ -140,6 +141,10 @@ class RunError : public std::runtime_error {
   }
   /// External id of the vertex whose compute threw (kUserException only).
   [[nodiscard]] std::uint64_t vertex() const noexcept { return vertex_; }
+  /// The underlying message, without the kind/superstep/thread/vertex
+  /// prefix what() adds: what a RunError must be rebuilt from elsewhere
+  /// (the shard result pipe) so that its what() comes out the same.
+  [[nodiscard]] const std::string& detail() const noexcept { return detail_; }
 
   /// Whether retrying the run (from the latest checkpoint) can plausibly
   /// succeed without any change of configuration: true for simulated
@@ -173,6 +178,7 @@ class RunError : public std::runtime_error {
   std::size_t superstep_;
   std::size_t thread_;
   std::uint64_t vertex_;
+  std::string detail_;
 };
 
 /// Watchdog and budget limits for a run; all disabled (0) by default, so

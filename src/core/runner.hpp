@@ -1,13 +1,10 @@
 #pragma once
 
-#include <filesystem>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "ft/fingerprint.hpp"
 #include "ft/snapshot.hpp"
 
 namespace ipregel {
@@ -25,66 +22,26 @@ namespace ipregel {
 /// throws std::invalid_argument — the runtime analogue of the engine's
 /// static_asserts.
 ///
-/// When `resume_from` names a snapshot file, the run resumes from it
-/// instead of starting at superstep 0. The snapshot is validated *before*
-/// any engine is constructed: its graph fingerprint must match `graph`,
-/// and a heavyweight snapshot must have been captured under a version
-/// with the same mailbox layout (same combiner family — the two push
-/// combiners are interchangeable — and the same bypass setting) as the
-/// requested one. Lightweight snapshots resume under any valid version.
-/// Validation failures throw ft::SnapshotMismatch; corrupted or
-/// version-incompatible files throw ft::FormatError from the reader.
+/// When `resume` is non-null, the run resumes from that loaded snapshot
+/// instead of starting at superstep 0. The engine's restore_state checks
+/// it against the checkpoint contract (ft/checkpoint_contract.hpp) before
+/// touching any state: the graph and program fingerprints must match, and
+/// a heavyweight snapshot must have been captured under a version with the
+/// same mailbox layout (same combiner family — the two push combiners are
+/// interchangeable — and the same bypass setting). Lightweight snapshots
+/// resume under any valid version. Mismatches throw ft::SnapshotMismatch.
 template <VertexProgram Program>
 RunResult run_version(
     const graph::CsrGraph& graph, Program program, VersionId version,
     EngineOptions options = {}, runtime::ThreadPool* pool = nullptr,
     std::vector<typename Program::value_type>* out_values = nullptr,
-    const std::filesystem::path& resume_from = {}) {
-  std::optional<ft::EngineSnapshot> snapshot;
-  if (!resume_from.empty()) {
-    snapshot = ft::read_snapshot(resume_from, options.checkpoint.vfs);
-    const ft::SnapshotMeta& m = snapshot->meta;
-    if (m.graph_fingerprint != ft::graph_fingerprint(graph)) {
-      throw ft::SnapshotMismatch(
-          resume_from.string() +
-          ": snapshot rejected: graph fingerprint differs — it was taken "
-          "on a different graph");
-    }
-    // Program-identity binding (v2 snapshots; v1 files decode 0 = skip):
-    // rejecting here, before any engine exists, means a PageRank snapshot
-    // handed to an SSSP resume never gets its bytes reinterpreted.
-    if (m.program_fingerprint != 0 &&
-        m.program_fingerprint != program_fingerprint<Program>()) {
-      throw ft::SnapshotMismatch(
-          resume_from.string() +
-          ": snapshot rejected: program fingerprint differs — it belongs "
-          "to a different application (or an incompatible value/message "
-          "layout of the same one)");
-    }
-    if (m.mode == ft::CheckpointMode::kHeavyweight) {
-      const bool snap_pull =
-          static_cast<CombinerKind>(m.combiner) == CombinerKind::kPull;
-      const VersionId snap_version{static_cast<CombinerKind>(m.combiner),
-                                   m.selection_bypass};
-      if (snap_pull != (version.combiner == CombinerKind::kPull) ||
-          m.selection_bypass != version.selection_bypass) {
-        throw ft::SnapshotMismatch(
-            resume_from.string() +
-            ": snapshot rejected: heavyweight snapshot captured under '" +
-            std::string(version_name(snap_version)) +
-            "' cannot resume under '" +
-            std::string(version_name(version)) +
-            "' (mailbox layouts differ); use lightweight snapshots to "
-            "resume across versions");
-      }
-    }
-  }
-
+    const ft::EngineSnapshot* resume = nullptr) {
   const auto execute = [&](auto& engine) {
     // One engine.values() materialisation, shared by both paths; reserve
     // before inserting so a caller-reused vector never over-allocates
     // through assign's growth policy.
-    RunResult result = snapshot ? engine.run_from(*snapshot) : engine.run();
+    RunResult result = resume != nullptr ? engine.run_from(*resume)
+                                         : engine.run();
     if (out_values != nullptr) {
       const auto values = engine.values();
       out_values->clear();
@@ -145,23 +102,23 @@ RunResult run_version(
 /// throwing. A mismatched snapshot maps to the non-retryable
 /// kSnapshotMismatch: the serving layer must report it as a permanent
 /// failure, not shed-and-retry it. Other configuration errors
-/// (inapplicable version, corrupted snapshot file) still throw — they are
-/// caller bugs, not run failures, and retrying them cannot help.
+/// (inapplicable version) still throw — they are caller bugs, not run
+/// failures, and retrying them cannot help.
 ///
 /// Because each call constructs a fresh engine, a failed run leaves no
 /// torn state behind for the caller: the next call starts clean (or from a
-/// snapshot via resume_from) — the entry point ft::supervise builds its
-/// retry loop on.
+/// snapshot via `resume`) — the entry point ft::supervise builds its retry
+/// loop on.
 template <VertexProgram Program>
 RunOutcome run_version_checked(
     const graph::CsrGraph& graph, Program program, VersionId version,
     EngineOptions options = {}, runtime::ThreadPool* pool = nullptr,
     std::vector<typename Program::value_type>* out_values = nullptr,
-    const std::filesystem::path& resume_from = {}) {
+    const ft::EngineSnapshot* resume = nullptr) {
   RunOutcome out;
   try {
     out.result = run_version(graph, std::move(program), version, options,
-                             pool, out_values, resume_from);
+                             pool, out_values, resume);
   } catch (const RunError& e) {
     out.error = e;
   } catch (const ft::InjectedFault& e) {

@@ -185,18 +185,6 @@ EngineSnapshot read_snapshot(const std::string& path, io::Vfs* vfs) {
   }
 }
 
-SnapshotMeta read_snapshot_meta(const std::string& path, io::Vfs* vfs) {
-  io::VfsIStream in(io::vfs_or_real(vfs), path);
-  try {
-    BinaryReader r(in.stream(), path, kSnapshotMagic, kSnapshotMinFormatVersion,
-                   kSnapshotFormatVersion);
-    return decode_meta(r.expect_section(kMetaTag), path, r.version());
-  } catch (const FormatError&) {
-    in.rethrow_io_error();
-    throw;
-  }
-}
-
 std::string snapshot_path(const std::string& dir, const std::string& basename,
                           std::uint64_t superstep) {
   return dir + "/" + basename + "." + std::to_string(superstep) +

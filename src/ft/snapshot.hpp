@@ -113,10 +113,6 @@ void write_snapshot(const std::string& path, const EngineSnapshot& snap,
 [[nodiscard]] EngineSnapshot read_snapshot(const std::string& path,
                                            io::Vfs* vfs = nullptr);
 
-/// Reads only the metadata section (cheap peek for resume dispatch).
-[[nodiscard]] SnapshotMeta read_snapshot_meta(const std::string& path,
-                                              io::Vfs* vfs = nullptr);
-
 /// "<dir>/<basename>.<superstep><kSnapshotSuffix>".
 [[nodiscard]] std::string snapshot_path(const std::string& dir,
                                         const std::string& basename,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -197,7 +196,9 @@ SupervisedOutcome supervise(
       attempt_options.flip = integrity::FlipPlan{};
     }
 
-    std::filesystem::path resume;
+    // The newest usable snapshot, loaded once: the walk that validates it
+    // hands the same bytes to the engine.
+    std::optional<SnapshotDirectory::Loaded> resume;
     if (options.checkpoint.enabled()) {
       // Content-validating pick: a torn or corrupt newest snapshot is
       // quarantined and recovery degrades to the previous good one instead
@@ -218,18 +219,17 @@ SupervisedOutcome supervise(
           };
         }
       }
-      if (const auto newest = snapshots.newest_valid(validator)) {
-        resume = newest->path;
-      }
+      resume = snapshots.newest_valid(validator);
       out.snapshots_quarantined += snapshots.quarantined();
     }
     ++out.attempts;
-    if (!resume.empty()) {
+    if (resume.has_value()) {
       ++out.resumed_from_snapshot;
     }
 
     RunOutcome attempt_outcome = run_version_checked(
-        graph, program, version, attempt_options, pool, out_values, resume);
+        graph, program, version, attempt_options, pool, out_values,
+        resume.has_value() ? &resume->snapshot : nullptr);
     if (attempt_outcome.ok()) {
       out.result = std::move(attempt_outcome.result);
       out.error.reset();

@@ -28,6 +28,7 @@
 #include "core/runner.hpp"
 #include "ft/binary_format.hpp"
 #include "ft/checkpoint.hpp"
+#include "ft/checkpoint_contract.hpp"
 #include "ft/fault.hpp"
 #include "ft/fingerprint.hpp"
 #include "ft/recovery_dir.hpp"

@@ -11,13 +11,12 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/aggregator_traits.hpp"
 #include "core/runner.hpp"
+#include "ft/checkpoint_contract.hpp"
 #include "ft/supervisor.hpp"
 #include "graph/csr.hpp"
 #include "runtime/memory_tracker.hpp"
@@ -27,23 +26,6 @@
 #include "service/shed.hpp"
 
 namespace ipregel::service {
-
-namespace detail {
-
-/// True when the program can run under lightweight checkpoints — the
-/// static precondition Engine::capture_state enforces at runtime. Checked
-/// here so the degradation ladder only *requests* a downgrade the engine
-/// will accept. The resend probe never instantiates the hook's body (the
-/// requires-expression is unevaluated); it only asks whether a call is
-/// well-formed.
-template <typename Program>
-inline constexpr bool kLightweightCapable =
-    requires(const Program& p, int& probe) { p.resend(probe); } &&
-    !HasAggregator<Program> &&
-    std::is_trivially_copyable_v<typename Program::value_type> &&
-    std::is_trivially_copyable_v<typename Program::message_type>;
-
-}  // namespace detail
 
 /// A multi-job admission-controlled service on top of the single-run
 /// engine: accepts concurrent graph jobs, bounds what the node takes on
@@ -149,7 +131,8 @@ class JobManager {
       }
       if (plan.downgrade_checkpoint && opts.checkpoint.enabled() &&
           opts.checkpoint.mode == ft::CheckpointMode::kHeavyweight) {
-        if constexpr (detail::kLightweightCapable<Program>) {
+        // Only a downgrade the engine will accept is requested.
+        if constexpr (ft::kLightweightCapable<Program>) {
           opts.checkpoint.mode = ft::CheckpointMode::kLightweight;
           report.checkpoint_downgraded = true;
         }

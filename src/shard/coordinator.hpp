@@ -22,6 +22,7 @@
 #include "core/program_traits.hpp"
 #include "core/run_error.hpp"
 #include "ft/binary_format.hpp"
+#include "ft/checkpoint_contract.hpp"
 #include "ft/fingerprint.hpp"
 #include "io/fault_wrap_vfs.hpp"
 #include "io/stream.hpp"
@@ -341,18 +342,14 @@ class Coordinator {
       static_assert(sizeof(typename Program::aggregate_type) <=
                         CtrlMsg::kMaxAggregate,
                     "aggregate_type exceeds the control-plane payload");
-      if (options_.checkpoint.enabled() &&
-          options_.checkpoint.mode == ft::CheckpointMode::kLightweight) {
-        throw std::invalid_argument(
-            "run_sharded: lightweight checkpoints cannot carry aggregator "
-            "state (same rule as the single-process engine)");
-      }
     }
     if (options_.checkpoint.enabled() &&
         options_.checkpoint.mode == ft::CheckpointMode::kLightweight &&
-        !ShardEngine<Program>::resend_capable()) {
+        !ft::kLightweightCapable<Program>) {
       throw std::invalid_argument(
-          "run_sharded: lightweight checkpoints need Program::resend(ctx)");
+          "run_sharded: lightweight checkpoints need Program::resend(ctx) "
+          "and cannot carry aggregator state (same rule as the "
+          "single-process engine)");
     }
   }
 

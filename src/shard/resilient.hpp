@@ -57,7 +57,7 @@ inline constexpr std::uint32_t kResultValuesTag = 2;
     fields.u64(out.error->superstep());
     fields.u64(out.error->thread());
     fields.u64(out.error->vertex());
-    const std::string detail = out.error->what();
+    const std::string& detail = out.error->detail();
     fields.blob(detail.data(), detail.size());
   }
   fields.u64(out.shard.respawns);

@@ -9,6 +9,7 @@
 
 #include "core/aggregator_traits.hpp"
 #include "core/program_traits.hpp"
+#include "ft/checkpoint_contract.hpp"
 #include "ft/snapshot.hpp"
 #include "graph/csr.hpp"
 #include "runtime/partition.hpp"
@@ -30,11 +31,7 @@ struct AggregateOf<P, false> {
 };
 }  // namespace detail
 
-/// SnapshotMeta::combiner sentinel for per-shard snapshots — a value no
-/// single-process CombinerKind uses, so an engine resume can never
-/// mistake a shard slice for whole-run state even before the fingerprint
-/// check fires.
-inline constexpr std::uint8_t kShardCombinerTag = 0xF5;
+using ft::kShardCombinerTag;
 
 /// The per-worker compute core of a sharded run: one shard's slice of
 /// vertex state plus dense per-destination outboxes, with the engine's
@@ -86,10 +83,6 @@ class ShardEngine {
   /// Slots this shard owns. Local indices 0..local_size() enumerate them
   /// in ascending slot order under every partition scheme.
   [[nodiscard]] std::size_t local_size() const noexcept { return n_local_; }
-  /// Smallest owned slot — the per-shard snapshot's range anchor.
-  [[nodiscard]] std::size_t first_owned_slot() const noexcept {
-    return first_owned_;
-  }
 
   /// Fresh superstep-0 state (initial values, nothing halted, empty
   /// mailboxes).
@@ -216,10 +209,6 @@ class ShardEngine {
             values_.size() * sizeof(Value)};
   }
 
-  /// Detected from Program, same probe as the engine's: lightweight
-  /// recovery needs `resend(ctx)`.
-  static constexpr bool resend_capable() noexcept { return kResendCapable; }
-
   /// Lightweight-recovery message regeneration, self-destined slice only:
   /// replays Program::resend for every local vertex AS superstep
   /// `resume - 1`, routing deliveries through the self-outbox (identical
@@ -231,7 +220,7 @@ class ShardEngine {
     if (resume == 0) {
       return;  // superstep 0 has no inbox
     }
-    if constexpr (kResendCapable) {
+    if constexpr (ft::kResendCapable<Program>) {
       superstep_ = resume - 1;
       resend_mode_ = true;
       for (std::size_t li = 0; li < n_local_; ++li) {
@@ -264,7 +253,7 @@ class ShardEngine {
     if (resume == 0) {
       return;  // superstep 0 has no inbox
     }
-    if constexpr (kResendCapable) {
+    if constexpr (ft::kResendCapable<Program>) {
       superstep_ = resume - 1;
       resend_mode_ = true;
       for (std::size_t li = 0; li < n_local_; ++li) {
@@ -299,27 +288,15 @@ class ShardEngine {
   /// Captures this shard's slice as an EngineSnapshot whose meta binds
   /// (graph, program, shard topology): num_slots/first_slot describe the
   /// LOCAL range and program_fingerprint carries the shard-bound
-  /// fingerprint, so the existing restore-side identity checks reject
-  /// slices from a different shard count or index. The inbox stored is
-  /// the CURRENT one — state as of "about to compute `resume`".
+  /// fingerprint, so the shared binding check rejects slices from a
+  /// different shard count or index. The inbox stored is the CURRENT one —
+  /// state as of "about to compute `resume`".
   [[nodiscard]] ft::EngineSnapshot capture(ft::CheckpointMode mode,
                                            std::uint64_t resume,
                                            std::uint64_t graph_fp,
                                            std::uint64_t bound_fp) const {
     ft::EngineSnapshot snap;
-    snap.meta.mode = mode;
-    snap.meta.combiner = kShardCombinerTag;
-    snap.meta.selection_bypass = false;
-    snap.meta.has_aggregator = kHasAggregator;
-    snap.meta.superstep = resume;
-    snap.meta.num_slots = n_local_;
-    snap.meta.first_slot = first_owned_;
-    snap.meta.num_vertices = graph_.num_vertices();
-    snap.meta.num_edges = graph_.num_edges();
-    snap.meta.graph_fingerprint = graph_fp;
-    snap.meta.program_fingerprint = bound_fp;
-    snap.meta.value_size = sizeof(Value);
-    snap.meta.message_size = sizeof(Msg);
+    snap.meta = ft::bound_meta(binding(graph_fp, bound_fp), mode, resume);
     snap.values.resize(values_.size() * sizeof(Value));
     std::memcpy(snap.values.data(), values_.data(), snap.values.size());
     snap.halted = halted_;
@@ -327,46 +304,24 @@ class ShardEngine {
       snap.inbox.resize(in_msg_.size() * sizeof(Msg));
       std::memcpy(snap.inbox.data(), in_msg_.data(), snap.inbox.size());
       snap.inbox_flags = in_flag_;
-      if constexpr (kHasAggregator) {
-        if constexpr (HasSerializableAggregator<Program>) {
-          snap.aggregate = aggregate_to_bytes<Program>(aggregated_);
-          snap.meta.aggregate_size = sizeof(typename Program::aggregate_type);
-        }
+      if constexpr (HasSerializableAggregator<Program>) {
+        snap.aggregate = aggregate_to_bytes<Program>(aggregated_);
+        snap.meta.aggregate_size = sizeof(typename Program::aggregate_type);
       }
     }
     return snap;
   }
 
-  /// Validates a parsed snapshot against this engine's binding; returns
-  /// nullptr when it fits or a static reason. Shaped for
-  /// SnapshotDirectory::Validator so unusable candidates get QUARANTINED
-  /// during the newest-first walk instead of aborting it — a slice from a
-  /// different shard topology must never shadow this shard's own older
-  /// snapshots.
+  /// Validates a parsed snapshot against this engine's binding
+  /// (ft::binding_mismatch); returns nullptr when it fits or a static
+  /// reason. Shaped for SnapshotDirectory::Validator so unusable
+  /// candidates get QUARANTINED during the newest-first walk instead of
+  /// aborting it — a slice from a different shard topology must never
+  /// shadow this shard's own older snapshots.
   [[nodiscard]] const char* validate(const ft::EngineSnapshot& snap,
                                      std::uint64_t graph_fp,
                                      std::uint64_t bound_fp) const noexcept {
-    const ft::SnapshotMeta& m = snap.meta;
-    if (m.graph_fingerprint != 0 && m.graph_fingerprint != graph_fp) {
-      return "snapshot belongs to a different graph";
-    }
-    if (m.program_fingerprint != 0 && m.program_fingerprint != bound_fp) {
-      return "snapshot belongs to a different program or shard topology";
-    }
-    if (m.combiner != kShardCombinerTag) {
-      return "not a per-shard snapshot slice";
-    }
-    if (m.num_slots != n_local_ || m.first_slot != first_owned_) {
-      return "snapshot covers a different slot range";
-    }
-    if (m.value_size != sizeof(Value) || m.message_size != sizeof(Msg)) {
-      return "snapshot value/message layout mismatch";
-    }
-    if (m.mode == ft::CheckpointMode::kLightweight &&
-        (!kResendCapable || kHasAggregator)) {
-      return "lightweight slice but the program cannot regenerate state";
-    }
-    return nullptr;
+    return ft::binding_mismatch(snap.meta, binding(graph_fp, bound_fp));
   }
 
   /// Installs a validated snapshot. Heavyweight restores the inbox and
@@ -502,8 +457,21 @@ class ShardEngine {
   };
   friend class Context;
 
-  static constexpr bool kResendCapable =
-      requires(const Program& p, Context& c) { p.resend(c); };
+  /// This slice's snapshot identity (see ft::SnapshotBinding).
+  [[nodiscard]] ft::SnapshotBinding binding(
+      std::uint64_t graph_fp, std::uint64_t bound_fp) const noexcept {
+    return {.meta = {.combiner = kShardCombinerTag,
+                     .has_aggregator = kHasAggregator,
+                     .num_slots = n_local_,
+                     .first_slot = first_owned_,
+                     .num_vertices = graph_.num_vertices(),
+                     .num_edges = graph_.num_edges(),
+                     .graph_fingerprint = graph_fp,
+                     .program_fingerprint = bound_fp,
+                     .value_size = sizeof(Value),
+                     .message_size = sizeof(Msg)},
+            .lightweight_capable = ft::kLightweightCapable<Program>};
+  }
 
   using AggregateOrNothing = typename detail::AggregateOf<Program>::type;
 

@@ -4,6 +4,12 @@
 // were last changed on purpose. Refactors of the writers, the framing or
 // the recovery directory must leave both constants alone; a deliberate
 // layout change bumps the format version AND re-records the constant.
+//
+// The capture pins go one layer further in: each runs a fixed program on
+// a fixed small graph and pins the snapshot file an engine itself
+// captured (heavyweight Engine, lightweight Engine, ShardEngine slice), so
+// a change to how the engines fill in snapshot metadata or payloads shows
+// up here even when the writer is untouched.
 
 #include <gtest/gtest.h>
 
@@ -14,16 +20,28 @@
 #include <string>
 #include <vector>
 
+#include "apps/hashmin.hpp"
+#include "apps/sssp.hpp"
+#include "core/engine.hpp"
 #include "ft/binary_format.hpp"
+#include "ft/fingerprint.hpp"
+#include "ft/recovery_dir.hpp"
 #include "ft/snapshot.hpp"
+#include "graph/generators.hpp"
 #include "io/vfs.hpp"
 #include "shard/manifest.hpp"
+#include "shard/partition.hpp"
+#include "shard/shard_engine.hpp"
+#include "test_util.hpp"
 
 namespace ipregel {
 namespace {
 
 constexpr std::uint32_t kManifestFileCrc = 0x5FA2E19Fu;
 constexpr std::uint32_t kSnapshotFileCrc = 0x5751CB03u;
+constexpr std::uint32_t kHeavyCaptureCrc = 0x8F0006C7u;
+constexpr std::uint32_t kLightCaptureCrc = 0x8C66EF4Bu;
+constexpr std::uint32_t kShardCaptureCrc = 0xD48B8C3Du;
 
 class TempDir {
  public:
@@ -121,6 +139,91 @@ TEST(FormatPin, EngineSnapshotBytesAreUnchanged) {
   ft::write_snapshot(path, snap);
   EXPECT_EQ(std::filesystem::file_size(path), 280u);
   EXPECT_EQ(file_crc(path), kSnapshotFileCrc);
+}
+
+/// Runs `Engine<Program, K, B>` single-threaded with a kEveryK(2)
+/// checkpoint policy in `mode` and returns the path of the newest
+/// snapshot the engine published.
+template <typename Program, CombinerKind K, bool B>
+std::string engine_capture(const TempDir& dir, const graph::CsrGraph& g,
+                           ft::CheckpointMode mode) {
+  EngineOptions options;
+  options.threads = 1;
+  options.fixed_direction = true;
+  options.max_supersteps = 3;
+  options.checkpoint.trigger = ft::CheckpointTrigger::kEveryK;
+  options.checkpoint.mode = mode;
+  options.checkpoint.every = 2;
+  options.checkpoint.keep = 1;
+  options.checkpoint.directory = dir.file("snaps");
+  std::filesystem::create_directories(options.checkpoint.directory);
+  Engine<Program, K, B> engine(g, Program{}, options);
+  (void)engine.run();
+  const auto found = ft::SnapshotDirectory(dir.file("snaps")).newest_valid();
+  EXPECT_TRUE(found.has_value());
+  return found.has_value() ? found->path : std::string{};
+}
+
+TEST(FormatPin, HeavyweightEngineCaptureIsUnchanged) {
+  const auto g =
+      testing::make_graph(graph::grid_2d(5, 4, graph::GridOptions{}));
+  TempDir dir;
+  const std::string path =
+      engine_capture<apps::Sssp, CombinerKind::kSpinlockPush, true>(
+          dir, g, ft::CheckpointMode::kHeavyweight);
+  EXPECT_EQ(std::filesystem::file_size(path), 440u);
+  EXPECT_EQ(file_crc(path), kHeavyCaptureCrc);
+}
+
+TEST(FormatPin, LightweightEngineCaptureIsUnchanged) {
+  const auto g =
+      testing::make_graph(graph::grid_2d(5, 4, graph::GridOptions{}));
+  TempDir dir;
+  const std::string path =
+      engine_capture<apps::Hashmin, CombinerKind::kPull, false>(
+          dir, g, ft::CheckpointMode::kLightweight);
+  EXPECT_EQ(std::filesystem::file_size(path), 252u);
+  EXPECT_EQ(file_crc(path), kLightCaptureCrc);
+}
+
+TEST(FormatPin, ShardSliceCaptureIsUnchanged) {
+  const auto g =
+      testing::make_graph(graph::grid_2d(5, 4, graph::GridOptions{}));
+  const shard::ShardPartition part(g, 2);
+  std::vector<shard::ShardEngine<apps::Sssp>> engines;
+  engines.reserve(2);
+  for (std::size_t s = 0; s < 2; ++s) {
+    engines.emplace_back(g, apps::Sssp{}, part, s);
+    engines.back().initialize();
+  }
+  // Three supersteps of the synchronous exchange, then shard 1's slice.
+  for (std::uint64_t step = 0; step < 3; ++step) {
+    for (auto& e : engines) {
+      (void)e.compute_superstep(step, [](std::uint64_t) {});
+    }
+    std::vector<std::vector<std::vector<std::uint8_t>>> frames(2);
+    for (std::size_t src = 0; src < 2; ++src) {
+      for (std::size_t dst = 0; dst < 2; ++dst) {
+        frames[src].push_back(engines[src].take_outbox(dst));
+      }
+    }
+    for (std::size_t dst = 0; dst < 2; ++dst) {
+      for (std::size_t src = 0; src < 2; ++src) {
+        engines[dst].apply_frame(frames[src][dst], /*into_current=*/false);
+      }
+    }
+    for (auto& e : engines) {
+      e.advance();
+    }
+  }
+  const auto snap = engines[1].capture(
+      ft::CheckpointMode::kHeavyweight, 3, ft::graph_fingerprint(g),
+      shard::shard_fingerprint(program_fingerprint<apps::Sssp>(), 2, 1));
+  TempDir dir;
+  const std::string path = dir.file("snapshot.3.ipsnap");
+  ft::write_snapshot(path, snap);
+  EXPECT_EQ(std::filesystem::file_size(path), 284u);
+  EXPECT_EQ(file_crc(path), kShardCaptureCrc);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(SnapshotFile, RoundTripsAllSections) {
   EXPECT_EQ(loaded.inbox_flags, original.inbox_flags);
   EXPECT_EQ(loaded.frontier, original.frontier);
 
-  const ft::SnapshotMeta meta = ft::read_snapshot_meta(path);
+  const ft::SnapshotMeta meta = ft::read_snapshot(path).meta;
   EXPECT_EQ(meta.superstep, 11u);
   EXPECT_EQ(meta.num_edges, 9u);
 }
@@ -273,18 +273,17 @@ TEST(EngineCheckpoint, RunnerRejectsResumeOnWrongGraphOrVersion) {
   (void)run_version(g, apps::Hashmin{}, version, options);
   const auto snap_path = ipregel::testing::newest_snapshot(dir.str());
   ASSERT_TRUE(snap_path.has_value());
+  const ft::EngineSnapshot snap = ft::read_snapshot(*snap_path);
 
-  // Wrong graph: rejected before any engine is built.
+  // Wrong graph: rejected before any state is restored.
   const CsrGraph other = make_graph(graph::rmat(7, 4, {.seed = 30}));
   EXPECT_THROW((void)run_version(other, apps::Hashmin{}, version,
-                                 EngineOptions{}, nullptr, nullptr,
-                                 *snap_path),
+                                 EngineOptions{}, nullptr, nullptr, &snap),
                ft::SnapshotMismatch);
   // Heavyweight snapshot, incompatible version: rejected.
   EXPECT_THROW((void)run_version(g, apps::Hashmin{},
                                  VersionId{CombinerKind::kPull, true},
-                                 EngineOptions{}, nullptr, nullptr,
-                                 *snap_path),
+                                 EngineOptions{}, nullptr, nullptr, &snap),
                ft::SnapshotMismatch);
 }
 

@@ -102,12 +102,13 @@ void expect_crash_equivalence(const CsrGraph& g, Program program,
 
   const auto snapshot = ipregel::testing::newest_snapshot(dir.str());
   ASSERT_TRUE(snapshot.has_value()) << "crash left no snapshot behind";
-  const ft::SnapshotMeta meta = ft::read_snapshot_meta(*snapshot);
+  const ft::EngineSnapshot loaded = ft::read_snapshot(*snapshot);
+  const ft::SnapshotMeta& meta = loaded.meta;
   ASSERT_LE(meta.superstep, crashing.fault.superstep);
 
   std::vector<typename Program::value_type> recovered;
   const RunResult resumed = run_version(g, program, version, base, nullptr,
-                                        &recovered, *snapshot);
+                                        &recovered, &loaded);
   EXPECT_EQ(resumed.supersteps, clean_result.supersteps)
       << "resumed run converged after a different number of supersteps";
   ASSERT_EQ(recovered.size(), clean.size());
@@ -215,9 +216,10 @@ TEST(CrashEquivalence, LightweightSnapshotResumesUnderDifferentVersion) {
 
   const auto snapshot = ipregel::testing::newest_snapshot(dir.str());
   ASSERT_TRUE(snapshot.has_value());
+  const ft::EngineSnapshot loaded = ft::read_snapshot(*snapshot);
   std::vector<graph::vid_t> recovered;
   (void)run_version(g, apps::Hashmin{}, VersionId{CombinerKind::kPull, true},
-                    base, nullptr, &recovered, *snapshot);
+                    base, nullptr, &recovered, &loaded);
   ASSERT_EQ(recovered.size(), clean.size());
   for (std::size_t s = g.first_slot(); s < g.num_slots(); ++s) {
     ASSERT_EQ(recovered[s], clean[s]) << "slot " << s;
@@ -284,7 +286,7 @@ TEST(CrashEquivalence, PullBarrierSnapshotResumesFixedAndAdaptive) {
         resume.fixed_direction = fixed;
         std::vector<graph::vid_t> recovered;
         const RunResult resumed = run_version(
-            g, apps::Hashmin{}, version, resume, nullptr, &recovered, *path);
+            g, apps::Hashmin{}, version, resume, nullptr, &recovered, &snap);
         EXPECT_EQ(resumed.supersteps, clean_result.supersteps);
         ASSERT_EQ(recovered, clean);
       }

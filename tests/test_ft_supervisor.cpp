@@ -3,7 +3,8 @@
 // checkpoints, must finish with values bit-identical to an uninterrupted
 // run — for PageRank, SSSP, and Hashmin. Plus the retry-policy mechanics:
 // attempt budgets, non-retryable kinds, retry-from-scratch without a
-// checkpoint directory, and backoff accounting.
+// checkpoint directory, and backoff accounting; and that a resumed attempt
+// reads its snapshot once.
 //
 // Determinism fine print matches tests/test_ft_recovery.cpp: min-combined
 // programs (SSSP, Hashmin) and PageRank under the pull combiner are exact
@@ -23,6 +24,7 @@
 #include "core/runner.hpp"
 #include "ft/supervisor.hpp"
 #include "graph/generators.hpp"
+#include "io/faulty_vfs.hpp"
 #include "test_util.hpp"
 
 namespace ipregel {
@@ -276,6 +278,54 @@ TEST(Supervisor, BackoffAccumulatesExponentially) {
   // 10 ms before the first retry, 20 ms before the second.
   EXPECT_GE(out.backoff_seconds, 0.029);
   EXPECT_LT(out.backoff_seconds, 0.031);
+}
+
+TEST(Supervisor, ResumedAttemptReadsItsSnapshotOnce) {
+  // The directory walk that picks the resume snapshot loads and verifies
+  // it; the resumed engine must restore from those bytes, not read the
+  // file a second time.
+  const CsrGraph g = make_graph(graph::grid_2d(8, 8));
+  const VersionId version{CombinerKind::kSpinlockPush, true};
+  std::vector<graph::vid_t> clean;
+  (void)run_version(g, apps::Hashmin{}, version, EngineOptions{.threads = 2},
+                    nullptr, &clean);
+
+  io::FaultyVfs vfs;
+  EngineOptions options;
+  options.threads = 2;
+  options.checkpoint.trigger = ft::CheckpointTrigger::kEveryK;
+  options.checkpoint.every = 2;
+  options.checkpoint.directory = "/ckpt";
+  options.checkpoint.vfs = &vfs;
+  // The planted crash: one attempt, killed in superstep 3, leaves the
+  // snapshot of superstep 2 behind and nothing newer.
+  ft::RetryPolicy crash;
+  crash.max_attempts = 1;
+  crash.fault_schedule = {
+      ft::FaultPlan{.superstep = 3, .after_compute_calls = 0}};
+  ASSERT_FALSE(
+      ft::supervise(g, apps::Hashmin{}, version, options, crash).ok());
+  ASSERT_EQ(ft::SnapshotDirectory("/ckpt", "snapshot", &vfs).list().size(),
+            1u);
+
+  // What the walk alone reads...
+  vfs.set_read_plan({});
+  ASSERT_TRUE(
+      ft::SnapshotDirectory("/ckpt", "snapshot", &vfs).newest_valid());
+  const std::uint64_t walk_reads = vfs.read_ops();
+  ASSERT_GT(walk_reads, 0u);
+
+  // ...is everything the resumed attempt reads (no further snapshot falls
+  // due, so nothing else is read back).
+  options.checkpoint.every = 1000;
+  vfs.set_read_plan({});
+  std::vector<graph::vid_t> resumed;
+  const ft::SupervisedOutcome out = ft::supervise(
+      g, apps::Hashmin{}, version, options, {}, nullptr, &resumed);
+  ASSERT_TRUE(out.ok()) << out.error->what();
+  EXPECT_EQ(out.resumed_from_snapshot, 1u);
+  EXPECT_EQ(vfs.read_ops(), walk_reads);
+  EXPECT_EQ(resumed, clean);
 }
 
 }  // namespace

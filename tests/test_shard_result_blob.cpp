@@ -95,6 +95,9 @@ TEST(ResultBlob, RoundTripsAnErrorOutcomeWithItsDetail) {
   EXPECT_NE(std::string(got.error->what())
                 .find("worker 1 lost its snapshot directory"),
             std::string::npos);
+  // The raw detail crosses the pipe, so the rebuilt error reads exactly
+  // like the one sent, not prefixed a second time.
+  EXPECT_STREQ(got.error->what(), sent.error->what());
   expect_same_stats(got, sent);
   EXPECT_TRUE(got_values.empty());
 }

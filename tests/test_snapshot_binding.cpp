@@ -85,7 +85,7 @@ TEST(ProgramFingerprint, RecordedInV2Snapshots) {
   const std::string path = checkpointed_run(
       g, apps::Hashmin{}, VersionId{CombinerKind::kSpinlockPush, false},
       dir.str());
-  const ft::SnapshotMeta meta = ft::read_snapshot_meta(path);
+  const ft::SnapshotMeta meta = ft::read_snapshot(path).meta;
   EXPECT_EQ(meta.format_version, ft::kSnapshotFormatVersion);
   EXPECT_EQ(meta.program_fingerprint, program_fingerprint<apps::Hashmin>());
 }
@@ -102,10 +102,11 @@ TEST(SnapshotBinding, SameLayoutDifferentProgramRejected) {
   const VersionId version{CombinerKind::kSpinlockPush, false};
   const std::string path =
       checkpointed_run(g, apps::Hashmin{}, version, dir.str());
+  const ft::EngineSnapshot snap = ft::read_snapshot(path);
 
   try {
     (void)run_version(g, apps::Sssp{}, version, EngineOptions{.threads = 2},
-                      nullptr, nullptr, path);
+                      nullptr, nullptr, &snap);
     FAIL() << "cross-program resume must throw SnapshotMismatch";
   } catch (const ft::SnapshotMismatch& e) {
     const std::string what = e.what();
@@ -119,9 +120,10 @@ TEST(SnapshotBinding, DifferentValueLayoutRejected) {
   const VersionId version{CombinerKind::kSpinlockPush, false};
   const std::string path =
       checkpointed_run(g, apps::Sssp{}, version, dir.str());
+  const ft::EngineSnapshot snap = ft::read_snapshot(path);
   EXPECT_THROW((void)run_version(g, apps::WeightedSssp{}, version,
                                  EngineOptions{.threads = 2}, nullptr,
-                                 nullptr, path),
+                                 nullptr, &snap),
                ft::SnapshotMismatch);
 }
 
@@ -132,9 +134,10 @@ TEST(SnapshotBinding, DifferentGraphRejected) {
   const std::string path =
       checkpointed_run(g, apps::Hashmin{}, version, dir.str());
   const CsrGraph other = make_graph(graph::grid_2d(6, 7));
+  const ft::EngineSnapshot snap = ft::read_snapshot(path);
   try {
     (void)run_version(other, apps::Hashmin{}, version,
-                      EngineOptions{.threads = 2}, nullptr, nullptr, path);
+                      EngineOptions{.threads = 2}, nullptr, nullptr, &snap);
     FAIL() << "cross-graph resume must throw SnapshotMismatch";
   } catch (const ft::SnapshotMismatch& e) {
     const std::string what = e.what();
@@ -162,12 +165,13 @@ TEST(SnapshotBinding, FingerprintZeroSkipsTheCheck) {
   ASSERT_NE(snap.meta.program_fingerprint, 0u);
   snap.meta.program_fingerprint = 0;
   ft::write_snapshot(path, snap);
+  const ft::EngineSnapshot v1 = ft::read_snapshot(path);
 
   std::vector<graph::vid_t> resumed;
   const RunOutcome out =
       run_version_checked(g, apps::Hashmin{}, version,
                           EngineOptions{.threads = 2}, nullptr, &resumed,
-                          path);
+                          &v1);
   ASSERT_TRUE(out.ok()) << out.error->what();
   EXPECT_EQ(resumed, clean);
 }
@@ -180,10 +184,11 @@ TEST(SnapshotBinding, CheckedPathReturnsTypedMismatch) {
   const VersionId version{CombinerKind::kSpinlockPush, false};
   const std::string path =
       checkpointed_run(g, apps::Hashmin{}, version, dir.str());
+  const ft::EngineSnapshot snap = ft::read_snapshot(path);
 
   const RunOutcome out = run_version_checked(
       g, apps::Sssp{}, version, EngineOptions{.threads = 2}, nullptr,
-      nullptr, path);
+      nullptr, &snap);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error->kind(), RunErrorKind::kSnapshotMismatch);
   EXPECT_FALSE(out.error->retryable());

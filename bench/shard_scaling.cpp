@@ -1,6 +1,6 @@
 // Scaling and recovery costs of the multi-process sharded runtime:
 // PageRank on the wiki-like R-MAT graph through 1/2/4/8 worker processes
-// vs the single-process engine, plus recovery-time-per-kill under the
+// vs the one-thread single-process engine, plus recovery-time-per-kill under the
 // chaos schedule (SIGKILL mid-run, restore from the newest per-shard
 // snapshot while survivors wait at the barrier).
 //
@@ -145,12 +145,19 @@ int main(int argc, char** argv) {
               {"arm", "seconds", "speedup", "supersteps", "messages"});
 
   // ---- Single-process engine baseline ----------------------------------
+  // One thread, as every shard worker runs: each ratio then prices the
+  // sharding itself. A team of hardware_concurrency threads made this
+  // baseline bimodal: a fresh team sometimes shares one CPU for its first
+  // ~second and runs at one thread's speed (EXPERIMENTS.md, "the bimodal
+  // shard baseline").
   Arm single;
   {
+    EngineOptions one_thread;
+    one_thread.threads = 1;
     runtime::Timer timer;
     const RunResult r =
         run_version(g, pr, VersionId{CombinerKind::kPull, false},
-                    EngineOptions{}, nullptr, &single.values);
+                    one_thread, nullptr, &single.values);
     single.seconds = timer.seconds();
     single.supersteps = r.supersteps;
     single.messages = r.total_messages;

@@ -79,6 +79,11 @@ struct AggregatorState<Program, false> {
   void end_superstep() {}
 };
 
+/// Engine::step's default progress callback: nothing to report.
+struct NoProgress {
+  void operator()() const noexcept {}
+};
+
 /// Topologies whose edge arrays are resident, so a vertex's out-edges can
 /// be handed out as spans (graph::CsrGraph). Paged topologies only iterate.
 template <typename T>
@@ -106,7 +111,11 @@ concept SpanTopology = requires(const T& g, std::size_t slot) {
 ///                 through `for_each_out_target`/`for_each_in_neighbour`,
 ///                 which both provide in CSR order — so a paged run is this
 ///                 same code over a different topology, and pull results
-///                 are bit-identical across the two by construction.
+///                 are bit-identical across the two by construction. A
+///                 shard worker's shard::SliceTopology is a third: its
+///                 owned slots over the shared CSR, delivering every
+///                 message through its outbox sink (`route`) and binding
+///                 snapshots as a shard slice (`bind_snapshot`).
 ///
 /// Addressing (section 5) needs no template parameter: the graph carries
 /// its id->slot mapping (direct = offset 0; desolate = offset 0 with padded
@@ -327,7 +336,7 @@ class Engine {
   /// run() fully reinitialises and run_from() restores a snapshot — the
   /// strong guarantee at superstep granularity.
   RunResult run() {
-    reset_state();
+    reset();
     return superstep_loop();
   }
 
@@ -348,6 +357,183 @@ class Engine {
     return superstep_loop();
   }
 
+  /// Fresh superstep-0 state: initial values, nothing halted, empty
+  /// mailboxes, a reset aggregate. run() starts here.
+  void reset() {
+    superstep_ = 0;
+    const std::size_t first = graph_.first_slot();
+    pool().parallel_for(
+        graph_.num_slots() - first, [&](std::size_t, runtime::Range r) {
+          for (std::size_t s = first + r.begin; s < first + r.end; ++s) {
+            values_[s] = program_.initial_value(graph_.id_of(s));
+            halted_[s] = 0;
+          }
+        });
+    mail_->reset();
+    if constexpr (Bypass) {
+      frontier_->reset();
+    }
+    reset_directions();
+    aggregator_.init(pool().size());
+    reset_checkpoint_pacing();
+    integrity_reset();
+  }
+
+  /// Runs one superstep (Fig. 1): select, compute, deliver, then the
+  /// barrier's integrity and audit hooks. This is run()'s loop body. A caller that owns the barrier drives
+  /// it directly after reset() or restore_state() — a shard worker
+  /// exchanges frames (receive) and installs the all-shard aggregate
+  /// (set_aggregated) between two steps; termination, the checkpoint
+  /// trigger and the run watchdog stay with run(). `progress()` is called
+  /// on thread 0 every 64 vertices of the compute phase and once after it
+  /// (a shard worker heartbeats and drains its links there).
+  template <typename Progress = detail::NoProgress>
+  SuperstepStats step(Progress&& progress = {}) {
+    runtime::ThreadPool& workers = pool();
+    runtime::Timer step_timer;
+    // The barrier is the quiescent point: budget and deadlines are
+    // enforced here (the first superstep doubles as the run-start check),
+    // then re-checked cooperatively inside the phases.
+    enforce_memory_budget();
+    if (step_deadline_armed_) {
+      step_deadline_ = GuardClock::now() +
+                       guard_duration(options_.guards.superstep_seconds);
+    }
+    const unsigned cur = static_cast<unsigned>(superstep_ & 1);
+    cur_gen_ = cur;
+    nxt_gen_ = cur ^ 1u;
+    // Integrity hooks at the top of the superstep, in dependency order:
+    // an at-rest flip lands first (simulating corruption during the
+    // barrier gap), the checksum verification runs against it (the
+    // detector must see what a real flip would leave behind), and the
+    // shadow tier then records the pristine-or-detected inputs this
+    // superstep is about to consume.
+    apply_flip(integrity::FlipPhase::kAtRest);
+    verify_checksums();
+    shadow_capture();
+    for (auto& c : counters_) {
+      c = ThreadState{};
+    }
+    aggregator_.begin_superstep();
+    fault_active_ = options_.fault.armed() &&
+                    superstep_ == options_.fault.superstep;
+    if (fault_active_) {
+      fault_calls_.store(0, std::memory_order_relaxed);
+      fault_tripped_.store(false, std::memory_order_relaxed);
+    }
+
+    // --- selection + local computation + communication -------------------
+    if (superstep_ > 0 && frontier_selects()) {
+      if constexpr (Bypass) {
+        // The frontier *is* the selection: every entry received a
+        // message, so threads run every vertex of their equal share.
+        const auto& work = frontier_->current();
+        for_indices(workers, work.size(), progress,
+                    [&](std::size_t tid, std::size_t i) {
+                      process_vertex<kCombinerDirection>(work[i], tid, cur);
+                    });
+      }
+    } else if (read_direction() == Direction::kPull) {
+      scan_all<Direction::kPull>(workers, cur, progress);
+    } else {
+      scan_all<Direction::kPush>(workers, cur, progress);
+    }
+    progress();
+
+    // --- superstep epilogue ------------------------------------------------
+    if (fault_active_ && fault_tripped_.load(std::memory_order_relaxed)) {
+      // The superstep was abandoned mid-flight: values partially
+      // updated, messages half-delivered. This engine's state is torn,
+      // exactly as a real crash would leave it — recovery means a fresh
+      // engine restoring the last snapshot, never resuming this one.
+      throw ft::InjectedFault(superstep_, options_.fault.after_compute_calls);
+    }
+    // Thread 0's barrier-side watchdog check: catches deadlines (and a
+    // raised cancel token) that the per-vertex ticks missed (e.g. a
+    // near-empty frontier), then surfaces any trip as a typed error. The
+    // tripped superstep was abandoned mid-flight — same torn state as a
+    // crash.
+    check_deadlines(workers);
+    check_cancel_token(workers);
+    throw_if_guard_tripped();
+    // Post-compute integrity hooks: the flip lands on freshly produced
+    // state, then the shadow tier replays its sampled vertices against
+    // the recorded inputs. Both run before the aggregator folds (the
+    // replay must observe the same previous-superstep aggregate the live
+    // run did) and — crucially — before any checkpoint, so corrupted
+    // state is detected before it can be persisted.
+    apply_flip(integrity::FlipPhase::kPostCompute);
+    shadow_verify();
+    SuperstepStats stats;
+    for (const auto& c : counters_) {
+      stats.messages_sent += c.sent;
+      stats.remaining_active += c.active;
+      stats.executed_vertices += c.executed;
+    }
+    stats.direction = send_direction();
+    aggregator_.end_superstep();
+    if (read_direction() == Direction::kPull) {
+      // Wipe the gathered generation's armed flags so halted vertices
+      // cannot leak a stale broadcast two supersteps later.
+      const std::size_t first = graph_.first_slot();
+      workers.parallel_for(graph_.num_slots() - first,
+                           [&](std::size_t, runtime::Range r) {
+                             mail_->clear_range(cur, first + r.begin,
+                                                first + r.end);
+                           });
+    }
+    if constexpr (Bypass) {
+      if (stats.remaining_active != 0) {
+        throw std::logic_error(
+            "selection bypass engaged but " +
+            std::to_string(stats.remaining_active) +
+            " vertices did not vote to halt in superstep " +
+            std::to_string(superstep_) +
+            "; this program is not bypass-compatible");
+      }
+      frontier_->flip();
+    }
+    // Application-invariant audit (integrity tier 1): a parallel
+    // reduction over the final barrier values, checked against the
+    // program's declared conservation/monotonicity laws.
+    audit_invariants();
+    if constexpr (kDirectional) {
+      read_dir_ = send_dir_;
+      send_dir_ = next_direction(stats.messages_sent);
+      last_sent_ = stats.messages_sent;
+    }
+    ++superstep_;
+    stats.seconds = step_timer.seconds();
+    return stats;
+  }
+
+  /// Combines `msg` into local `slot`'s inbox for the next step(): how
+  /// messages from outside the engine arrive (a shard worker applies its
+  /// peers' frames and its own here, in source order). Push engines
+  /// without the selection bypass, whose inbox is all the next superstep
+  /// reads.
+  void receive(std::size_t slot, const Msg& msg)
+    requires(Combiner != CombinerKind::kPull && !Bypass)
+  {
+    (void)mail_->deliver(static_cast<unsigned>(superstep_ & 1), slot, msg,
+                         Combine{});
+  }
+
+  /// The aggregate ctx.aggregated() shows the next step(): after a step,
+  /// this engine's fold of it. A shard worker ships that as its partial
+  /// and installs the all-shard fold with set_aggregated().
+  template <typename P = Program>
+    requires HasAggregator<P>
+  [[nodiscard]] const typename P::aggregate_type& aggregated()
+      const noexcept {
+    return aggregator_.previous;
+  }
+  template <typename P = Program>
+    requires HasAggregator<P>
+  void set_aggregated(const typename P::aggregate_type& value) {
+    aggregator_.previous = value;
+  }
+
  private:
   RunResult superstep_loop() {
     RunResult result;
@@ -365,7 +551,6 @@ class Engine {
           "shadow recompute needs to compare replayed values: the value "
           "type must be equality-comparable or trivially copyable");
     }
-    runtime::ThreadPool& workers = pool();
     runtime::Timer total;
     guard_trip_.store(0, std::memory_order_relaxed);
     run_deadline_armed_ = options_.guards.run_seconds > 0.0;
@@ -374,128 +559,14 @@ class Engine {
       run_deadline_ = GuardClock::now() + guard_duration(options_.guards.run_seconds);
     }
     for (;;) {
-      runtime::Timer step_timer;
-      // The barrier is the quiescent point: budget and deadlines are
-      // enforced here (the first iteration doubles as the run-start
-      // check), then re-checked cooperatively inside the phases.
-      enforce_memory_budget();
-      if (step_deadline_armed_) {
-        step_deadline_ = GuardClock::now() +
-                         guard_duration(options_.guards.superstep_seconds);
-      }
-      const unsigned cur = static_cast<unsigned>(superstep_ & 1);
-      cur_gen_ = cur;
-      nxt_gen_ = cur ^ 1u;
-      // Integrity hooks at the top of the superstep, in dependency order:
-      // an at-rest flip lands first (simulating corruption during the
-      // barrier gap), the checksum verification runs against it (the
-      // detector must see what a real flip would leave behind), and the
-      // shadow tier then records the pristine-or-detected inputs this
-      // superstep is about to consume.
-      apply_flip(integrity::FlipPhase::kAtRest);
-      verify_checksums();
-      shadow_capture();
-      for (auto& c : counters_) {
-        c = ThreadState{};
-      }
-      aggregator_.begin_superstep();
-      fault_active_ = options_.fault.armed() &&
-                      superstep_ == options_.fault.superstep;
-      if (fault_active_) {
-        fault_calls_.store(0, std::memory_order_relaxed);
-        fault_tripped_.store(false, std::memory_order_relaxed);
-      }
-
-      // --- selection + local computation + communication -----------------
-      if (superstep_ > 0 && frontier_selects()) {
-        if constexpr (Bypass) {
-          // The frontier *is* the selection: every entry received a
-          // message, so threads run every vertex of their equal share.
-          const auto& work = frontier_->current();
-          for_indices(workers, work.size(),
-                      [&](std::size_t tid, std::size_t i) {
-                        process_vertex<kCombinerDirection>(work[i], tid, cur);
-                      });
-        }
-      } else if (read_direction() == Direction::kPull) {
-        scan_all<Direction::kPull>(workers, cur);
-      } else {
-        scan_all<Direction::kPush>(workers, cur);
-      }
-
-      // --- superstep epilogue --------------------------------------------
-      if (fault_active_ && fault_tripped_.load(std::memory_order_relaxed)) {
-        // The superstep was abandoned mid-flight: values partially
-        // updated, messages half-delivered. This engine's state is torn,
-        // exactly as a real crash would leave it — recovery means a fresh
-        // engine restoring the last snapshot, never resuming this one.
-        throw ft::InjectedFault(superstep_,
-                                options_.fault.after_compute_calls);
-      }
-      // Thread 0's barrier-side watchdog check: catches deadlines (and a
-      // raised cancel token) that the per-vertex ticks missed (e.g. a
-      // near-empty frontier), then surfaces any trip as a typed error. The
-      // tripped superstep was abandoned mid-flight — same torn state as a
-      // crash.
-      check_deadlines(workers);
-      check_cancel_token(workers);
-      throw_if_guard_tripped();
-      // Post-compute integrity hooks: the flip lands on freshly produced
-      // state, then the shadow tier replays its sampled vertices against
-      // the recorded inputs. Both run before the aggregator folds (the
-      // replay must observe the same previous-superstep aggregate the live
-      // run did) and — crucially — before maybe_checkpoint, so corrupted
-      // state is detected before it can be persisted.
-      apply_flip(integrity::FlipPhase::kPostCompute);
-      shadow_verify();
-      std::size_t sent = 0;
-      std::size_t active = 0;
-      std::size_t executed = 0;
-      for (const auto& c : counters_) {
-        sent += c.sent;
-        active += c.active;
-        executed += c.executed;
-      }
-      aggregator_.end_superstep();
-      if (read_direction() == Direction::kPull) {
-        // Wipe the gathered generation's armed flags so halted vertices
-        // cannot leak a stale broadcast two supersteps later.
-        const std::size_t first = graph_.first_slot();
-        workers.parallel_for(graph_.num_slots() - first,
-                             [&](std::size_t, runtime::Range r) {
-                               mail_->clear_range(cur, first + r.begin,
-                                                  first + r.end);
-                             });
-      }
-      if constexpr (Bypass) {
-        if (active != 0) {
-          throw std::logic_error(
-              "selection bypass engaged but " + std::to_string(active) +
-              " vertices did not vote to halt in superstep " +
-              std::to_string(superstep_) +
-              "; this program is not bypass-compatible");
-        }
-        frontier_->flip();
-      }
-      // Application-invariant audit (integrity tier 1): a parallel
-      // reduction over the final barrier values, checked against the
-      // program's declared conservation/monotonicity laws.
-      audit_invariants();
-
-      result.total_messages += sent;
-      result.total_executed_vertices += executed;
+      const SuperstepStats stats = step();
+      result.total_messages += stats.messages_sent;
+      result.total_executed_vertices += stats.executed_vertices;
       if (options_.collect_superstep_stats) {
-        result.per_superstep.push_back(SuperstepStats{
-            executed, active, sent, step_timer.seconds(), send_direction()});
+        result.per_superstep.push_back(stats);
       }
-      if constexpr (kDirectional) {
-        read_dir_ = send_dir_;
-        send_dir_ = next_direction(sent);
-        last_sent_ = sent;
-      }
-      ++superstep_;
       result.supersteps = superstep_;
-      if (sent == 0 && active == 0) {
+      if (stats.messages_sent == 0 && stats.remaining_active == 0) {
         break;  // BSP termination: everyone halted, nothing in flight
       }
       if (superstep_ >= options_.max_supersteps) {
@@ -509,7 +580,7 @@ class Engine {
       // The barrier is the only point where engine state is quiescent and
       // consistent, so snapshots are taken here (a terminated run writes
       // none — there is nothing left to lose).
-      maybe_checkpoint(result, step_timer.seconds());
+      maybe_checkpoint(result, stats.seconds);
     }
     result.seconds = total.seconds();
     return result;
@@ -593,6 +664,14 @@ class Engine {
     }
   }
 
+  /// Whether `snap` may resume this engine: nullptr when it may, the
+  /// ft::binding_mismatch reason otherwise (restore_state throws it as a
+  /// SnapshotMismatch). Shaped as a SnapshotDirectory validator, so a
+  /// newest-first walk quarantines an unusable candidate and goes on.
+  [[nodiscard]] const char* validate(const ft::EngineSnapshot& snap) const {
+    return ft::binding_mismatch(snap.meta, binding());
+  }
+
   /// Restores engine state from a snapshot, validating it first against
   /// this engine's binding (ft::binding_mismatch: graph and program
   /// fingerprints, shape, value/message sizes, and — for heavyweight
@@ -612,7 +691,7 @@ class Engine {
           "types are not trivially copyable");
     } else {
     const ft::SnapshotMeta& m = snap.meta;
-    if (const char* why = ft::binding_mismatch(m, binding())) {
+    if (const char* why = validate(snap)) {
       throw ft::SnapshotMismatch(std::string("snapshot rejected: ") + why);
     }
     superstep_ = m.superstep;
@@ -662,6 +741,23 @@ class Engine {
       std::conditional_t<Combiner == CombinerKind::kPull, NoLock,
                          runtime::SpinLock>>;
   using MailStore = Mailboxes<Msg, LockType>;
+
+  /// Program::combine as the callable every message store folds with.
+  struct Combine {
+    void operator()(Msg& old, const Msg& incoming) const {
+      Program::combine(old, incoming);
+    }
+  };
+
+  /// Topologies that deliver every message themselves: a shard slice
+  /// routes each one to its destination shard's outbox, so nothing lands
+  /// in this engine's mailboxes until the exchange hands it back through
+  /// receive(). A routed lightweight restore thus leaves the regenerated
+  /// messages in those outboxes too, for the worker to fold or forward.
+  static constexpr bool kRoutes =
+      requires(const Topology& g, graph::vid_t dst, const Msg& msg) {
+        g.route(dst, msg, Combine{});
+      };
 
   /// Engines that pick each superstep's send direction at the barrier (see
   /// next_direction): push combiners with the selection bypass, running a
@@ -730,20 +826,30 @@ class Engine {
     }
   }
 
-  /// This engine's snapshot identity (see ft::SnapshotBinding).
+  /// This engine's snapshot identity (see ft::SnapshotBinding). A shard
+  /// slice rebinds it (bind_snapshot): the shard combiner tag, its owned
+  /// slot range, and the run's graph and shard-bound program fingerprints.
   [[nodiscard]] ft::SnapshotBinding binding() const {
-    return {.meta = {.combiner = static_cast<std::uint8_t>(Combiner),
-                     .selection_bypass = Bypass,
-                     .has_aggregator = HasAggregator<Program>,
-                     .num_slots = graph_.num_slots(),
-                     .first_slot = graph_.first_slot(),
-                     .num_vertices = graph_.num_vertices(),
-                     .num_edges = graph_.num_edges(),
-                     .graph_fingerprint = fingerprint(),
-                     .program_fingerprint = program_fingerprint<Program>(),
-                     .value_size = sizeof(Value),
-                     .message_size = sizeof(Msg)},
-            .lightweight_capable = ft::kLightweightCapable<Program>};
+    ft::SnapshotBinding b{
+        .meta = {.combiner = static_cast<std::uint8_t>(Combiner),
+                 .selection_bypass = Bypass,
+                 .has_aggregator = HasAggregator<Program>,
+                 .num_slots = graph_.num_slots(),
+                 .first_slot = graph_.first_slot(),
+                 .num_vertices = graph_.num_vertices(),
+                 .num_edges = graph_.num_edges(),
+                 .program_fingerprint = program_fingerprint<Program>(),
+                 .value_size = sizeof(Value),
+                 .message_size = sizeof(Msg)},
+        .lightweight_capable = ft::kLightweightCapable<Program>};
+    if constexpr (requires(const Topology& g, ft::SnapshotMeta& m) {
+                    g.bind_snapshot(m);
+                  }) {
+      graph_.bind_snapshot(b.meta);
+    } else {
+      b.meta.graph_fingerprint = fingerprint();
+    }
+    return b;
   }
 
   void reset_checkpoint_pacing() noexcept {
@@ -832,7 +938,7 @@ class Engine {
       c = ThreadState{};
     }
     const std::size_t first = graph_.first_slot();
-    for_indices(pool(), graph_.num_slots() - first,
+    for_indices(pool(), graph_.num_slots() - first, detail::NoProgress{},
                 [&](std::size_t tid, std::size_t i) {
                   Context ctx(*this, first + i, tid, values_[first + i],
                               nullptr);
@@ -1472,16 +1578,23 @@ class Engine {
   /// Distributes [0, n) under the configured scheduling policy and calls
   /// `fn(tid, i)` for every index. Every 64 indices each thread polls the
   /// cancellation flag and the watchdog deadlines, so a failing teammate
-  /// or an expired deadline unwinds the whole team at vertex granularity.
-  template <typename Fn>
-  void for_indices(runtime::ThreadPool& workers, std::size_t n, Fn&& fn) {
-    const auto body = [this, &fn, &workers](std::size_t tid,
-                                            runtime::Range r) {
+  /// or an expired deadline unwinds the whole team at vertex granularity;
+  /// thread 0 then also calls `progress()` (see step()).
+  template <typename Progress, typename Fn>
+  void for_indices(runtime::ThreadPool& workers, std::size_t n,
+                   Progress&& progress, Fn&& fn) {
+    const auto body = [this, &fn, &workers, &progress](std::size_t tid,
+                                                       runtime::Range r) {
       const CursorRelease release{counters_[tid].cursor};
       std::size_t tick = 0;
       for (std::size_t i = r.begin; i < r.end; ++i) {
-        if ((tick++ & 63u) == 0u && guard_tick(workers)) {
-          return;
+        if ((tick++ & 63u) == 0u) {
+          if (guard_tick(workers)) {
+            return;
+          }
+          if (tid == 0) {
+            progress();
+          }
         }
         fn(tid, i);
       }
@@ -1493,32 +1606,13 @@ class Engine {
     }
   }
 
-  void reset_state() {
-    superstep_ = 0;
-    const std::size_t first = graph_.first_slot();
-    pool().parallel_for(
-        graph_.num_slots() - first, [&](std::size_t, runtime::Range r) {
-          for (std::size_t s = first + r.begin; s < first + r.end; ++s) {
-            values_[s] = program_.initial_value(graph_.id_of(s));
-            halted_[s] = 0;
-          }
-        });
-    mail_->reset();
-    if constexpr (Bypass) {
-      frontier_->reset();
-    }
-    reset_directions();
-    aggregator_.init(pool().size());
-    reset_checkpoint_pacing();
-    integrity_reset();
-  }
-
   /// Scan-all selection: every vertex is checked, reading generation `cur`
   /// the way it was filled.
-  template <Direction Read>
-  void scan_all(runtime::ThreadPool& workers, unsigned cur) {
+  template <Direction Read, typename Progress>
+  void scan_all(runtime::ThreadPool& workers, unsigned cur,
+                Progress& progress) {
     const std::size_t first = graph_.first_slot();
-    for_indices(workers, graph_.num_slots() - first,
+    for_indices(workers, graph_.num_slots() - first, progress,
                 [&](std::size_t tid, std::size_t i) {
                   process_vertex<Read>(first + i, tid, cur);
                 });
@@ -1582,17 +1676,21 @@ class Engine {
   bool gather(unsigned gen, std::size_t slot, Cursor& cursor,
               Msg& combined) const {
     bool has = false;
-    graph_.for_each_in_neighbour(slot, cursor, [&](graph::vid_t u) {
-      Msg m{};
-      if (mail_->fetch(gen, graph_.slot_of(u), m)) {
-        if (has) {
-          Program::combine(combined, m);
-        } else {
-          combined = m;
-          has = true;
+    // Only an engine that can fill a generation by pull ever reads one
+    // that way; the rest need no in-neighbours (a shard slice has none).
+    if constexpr (Combiner == CombinerKind::kPull || kDirectional) {
+      graph_.for_each_in_neighbour(slot, cursor, [&](graph::vid_t u) {
+        Msg m{};
+        if (mail_->fetch(gen, graph_.slot_of(u), m)) {
+          if (has) {
+            Program::combine(combined, m);
+          } else {
+            combined = m;
+            has = true;
+          }
         }
-      }
-    });
+      });
+    }
     return has;
   }
 
@@ -1736,13 +1834,13 @@ class Engine {
                                                 const Msg& msg,
                                                 Cursor& cursor) {
     graph_.for_each_out_target(slot, cursor, [&](graph::vid_t dst) {
-      deliver_push(graph_.slot_of(dst), tid, msg);
+      deliver_push(dst, tid, msg);
     });
   }
 
   void do_send(graph::vid_t dst, std::size_t tid, const Msg& msg) {
     if constexpr (Combiner != CombinerKind::kPull) {
-      deliver_push(graph_.slot_of(dst), tid, msg);
+      deliver_push(dst, tid, msg);
       ++counters_[tid].sent;
     }
   }
@@ -1750,19 +1848,19 @@ class Engine {
   /// Push-combiner delivery: combine under the recipient's lock; when the
   /// mailbox was empty this was the recipient's first message of the
   /// superstep, which is exactly the section-4 moment the sender appends
-  /// the recipient to the next work list — no extra synchronisation.
-  void deliver_push(std::size_t dst_slot, std::size_t tid, const Msg& msg) {
-    const bool first =
-        mail_->deliver(nxt_gen_, dst_slot, msg,
-                       [](Msg& old, const Msg& incoming) {
-                         Program::combine(old, incoming);
-                       });
-    if constexpr (Bypass) {
-      if (first) {
-        frontier_->add_claimed(dst_slot, tid);
-      }
+  /// the recipient to the next work list — no extra synchronisation. A
+  /// routing topology takes every message instead (see kRoutes).
+  void deliver_push(graph::vid_t dst, std::size_t tid, const Msg& msg) {
+    if constexpr (kRoutes) {
+      graph_.route(dst, msg, Combine{});
     } else {
-      (void)first;
+      const std::size_t dst_slot = graph_.slot_of(dst);
+      const bool first = mail_->deliver(nxt_gen_, dst_slot, msg, Combine{});
+      if constexpr (Bypass) {
+        if (first) {
+          frontier_->add_claimed(dst_slot, tid);
+        }
+      }
     }
   }
 

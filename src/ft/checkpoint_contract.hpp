@@ -11,8 +11,8 @@ namespace ipregel::ft {
 
 // The one checkpoint contract: which programs may checkpoint at all, which
 // may checkpoint lightweight, and whether a snapshot may resume under a
-// given engine. Engine, shard::ShardEngine, the shard coordinator and the
-// serving layer's checkpoint downgrade all ask here.
+// given engine. Engine (over a shard slice too), the shard coordinator and
+// the serving layer's checkpoint downgrade all ask here.
 
 /// Snapshots memcpy values and messages, so non-trivially-copyable types
 /// cannot be checkpointed (rejected at runtime, not compile time, so such

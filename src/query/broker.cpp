@@ -14,6 +14,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Engine versions per family. BFS lanes always halt, so the selection
+/// bypass applies and keeps supersteps proportional to the united
+/// wavefronts; PPR runs every vertex every round (no bypass).
+constexpr VersionId kBfsVersion{CombinerKind::kSpinlockPush, true};
+constexpr VersionId kPprVersion{CombinerKind::kSpinlockPush, false};
+
 /// True when `id` addresses a populated slot of `g` — the guard between
 /// caller-supplied target ids and unchecked slot arithmetic.
 [[nodiscard]] bool addressable(const graph::CsrGraph& g,
@@ -353,7 +359,7 @@ void QueryBroker::run_bfs_batch(std::vector<Pending>& batch,
   std::optional<service::JobTicket<apps::MultiBfs<K>>> ticket;
   try {
     ticket.emplace(jobs_.submit(graph_of(epoch), program,
-                                config_.bfs_version, EngineOptions{},
+                                kBfsVersion, EngineOptions{},
                                 spec));
   } catch (const service::ShedError& e) {
     // Admission-time rejection (queue depth or memory ledger): the whole
@@ -454,7 +460,7 @@ void QueryBroker::run_ppr_batch(std::vector<Pending>& batch,
   std::optional<service::JobTicket<apps::MultiPpr<K>>> ticket;
   try {
     ticket.emplace(jobs_.submit(graph_of(epoch), program,
-                                config_.ppr_version, EngineOptions{},
+                                kPprVersion, EngineOptions{},
                                 spec));
   } catch (const service::ShedError& e) {
     for (Pending& p : batch) {

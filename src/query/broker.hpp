@@ -111,12 +111,6 @@ class QueryBroker {
     std::size_t ppr_rounds = 20;
     double ppr_damping = 0.85;
 
-    /// Engine versions per family. BFS lanes always halt, so the
-    /// selection bypass applies and keeps supersteps proportional to the
-    /// united wavefronts; PPR runs every vertex every round (no bypass).
-    VersionId bfs_version{CombinerKind::kSpinlockPush, true};
-    VersionId ppr_version{CombinerKind::kSpinlockPush, false};
-
     /// Serve repeat queries from the result cache (lookup at submit,
     /// insert after a completed run while the epoch is still current).
     bool enable_cache = true;

@@ -32,6 +32,7 @@
 #include "shard/manifest.hpp"
 #include "shard/options.hpp"
 #include "shard/partition.hpp"
+#include "shard/slice.hpp"
 #include "shard/supervisor.hpp"
 #include "shard/tcp_transport.hpp"
 #include "shard/transport.hpp"
@@ -179,10 +180,8 @@ class Coordinator {
               8);
     }
     if (options_.recovery.enabled()) {
-      // A takeover needs at least the newest commit: keep >= 1.
-      manifest_dir_.emplace(manifest_directory(
-          options_.recovery.directory, nullptr,
-          std::max<std::size_t>(options_.recovery.keep_manifests, 1)));
+      manifest_dir_.emplace(manifest_directory(options_.recovery.directory,
+                                               nullptr, kKeepManifests));
     }
   }
 
@@ -192,25 +191,24 @@ class Coordinator {
   [[nodiscard]] static ArenaSpec make_arena_spec(const graph::CsrGraph& graph,
                                                  const ShardPartition& part,
                                                  const ShardOptions& options) {
+    // Extra bytes per ring beyond the computed minimum.
+    constexpr std::size_t kRingSlackBytes = 4096;
     ArenaSpec spec;
     const std::size_t n = part.shards();
     spec.shards = n;
     spec.ring_capacity.assign(n * n, 0);
-    constexpr std::size_t kEntryBytes = sizeof(std::uint32_t) + sizeof(Msg);
     for (std::size_t src = 0; src < n; ++src) {
       for (std::size_t dst = 0; dst < n; ++dst) {
         if (src == dst) {
           continue;
         }
-        const std::size_t frame = sizeof(FrameHeader) +
-                                  sizeof(std::uint64_t) +
-                                  part.size(dst) * kEntryBytes;
+        const std::size_t frame =
+            sizeof(FrameHeader) + Outboxes<Msg>::max_frame_bytes(part, dst);
         // Sized for the steady state (two supersteps in flight) plus a
         // full recovery republish burst, so producers practically never
         // block.
         spec.ring_capacity[src * n + dst] =
-            (options.retain_supersteps + 2) * frame +
-            options.ring_slack_bytes;
+            (options.retain_supersteps + 2) * frame + kRingSlackBytes;
       }
     }
     spec.board_bytes = graph.num_slots() * sizeof(Value);
@@ -271,8 +269,10 @@ class Coordinator {
       const std::uint8_t* board = options_.transport == TransportKind::kTcp
                                       ? net_board_.data()
                                       : arena_view_->at(spec_.board_offset);
-      std::memcpy(out_values->data(), board,
-                  graph_.num_slots() * sizeof(Value));
+      if (!out_values->empty()) {  // an empty graph has no buffer to fill
+        std::memcpy(out_values->data(), board,
+                    graph_.num_slots() * sizeof(Value));
+      }
     }
     return std::move(outcome_);
   }
@@ -603,8 +603,7 @@ class Coordinator {
           io::WriteCutVfs cut(io::vfs_or_real(nullptr), f.at_syscall,
                               "manifest.");
           ft::RecoveryDirectory dir = manifest_directory(
-              options_.recovery.directory, &cut,
-              std::max<std::size_t>(options_.recovery.keep_manifests, 1));
+              options_.recovery.directory, &cut, kKeepManifests);
           publish_manifest(dir, m);
           return;
         }
@@ -1478,6 +1477,9 @@ class Coordinator {
   Channel* reattach_ = nullptr;  ///< supervisor-owned listener, kShm only
   int orphan_fd_ = -1;
   int result_fd_ = -1;
+  /// Manifest files retained in the run directory (a takeover needs at
+  /// least the newest commit).
+  static constexpr std::size_t kKeepManifests = 4;
   std::optional<ft::RecoveryDirectory> manifest_dir_;
   std::uint64_t epoch_ = 0;
   std::uint64_t commit_seq_ = 0;

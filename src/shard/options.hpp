@@ -28,18 +28,10 @@ enum class TransportKind : std::uint8_t {
 /// Tuning of the TCP transport. Defaults are sized for loopback tests:
 /// real deployments would scale the timeouts with RTT.
 struct NetOptions {
-  /// Give up on one connect attempt after this long.
-  double connect_timeout_seconds = 2.0;
-  /// A blocking frame operation (publish with a full kernel buffer, the
-  /// final values flush) fails the link after this long without progress.
-  double io_timeout_seconds = 5.0;
   /// Exponential reconnect backoff: initial delay, multiplier, ceiling.
   double backoff_initial_seconds = 0.01;
   double backoff_multiplier = 2.0;
   double backoff_max_seconds = 0.25;
-  /// Seed of the deterministic backoff jitter (mixed with shard/peer/
-  /// attempt, so concurrent reconnectors do not stampede in lockstep).
-  std::uint64_t backoff_jitter_seed = 0x1BAD'C0DE'5EEDULL;
   /// Consecutive failed (re)connect attempts on one link before the
   /// worker declares the peer unreachable and exits for the supervisor
   /// ladder (typed degradation, never a hang).
@@ -229,9 +221,6 @@ struct RecoveryOptions {
   /// Coordinator incarnations beyond the first the supervisor will fork.
   std::size_t max_takeovers = 4;
 
-  /// Manifest files retained in the run directory.
-  std::size_t keep_manifests = 4;
-
   /// TEST HOOK — simulate a RESURRECTED STALE coordinator: the Nth
   /// takeover (1 = first takeover) skips the fence-claim manifest write
   /// and presents fencing epoch 1, as a woken-up dead incarnation that
@@ -347,9 +336,6 @@ struct ShardOptions {
 
   /// Scripted snapshot-read faults during recovery.
   std::vector<RestoreFault> restore_faults;
-
-  /// Extra bytes per ring beyond the computed 2-full-batch minimum.
-  std::size_t ring_slack_bytes = 4096;
 
   /// Coordinator crash recovery (run_sharded_resilient only).
   RecoveryOptions recovery{};

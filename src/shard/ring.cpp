@@ -11,12 +11,13 @@
 
 namespace ipregel::shard {
 
-ShmArena::ShmArena(std::size_t bytes) : size_(bytes) {
-  base_ = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+ShmArena::ShmArena(std::size_t bytes)
+    : size_(std::max<std::size_t>(bytes, 1)) {
+  base_ = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
                  MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (base_ == MAP_FAILED) {
     base_ = nullptr;
-    throw std::runtime_error("ShmArena: mmap of " + std::to_string(bytes) +
+    throw std::runtime_error("ShmArena: mmap of " + std::to_string(size_) +
                              " bytes failed: " +
                              std::string(std::strerror(errno)));
   }

@@ -23,8 +23,9 @@ namespace ipregel::shard {
 /// survive the crash and in-flight cursors stay meaningful.
 class ShmArena {
  public:
-  /// Maps `bytes` of zeroed shared memory. Throws std::runtime_error when
-  /// mmap fails.
+  /// Maps `bytes` of zeroed shared memory (at least one byte: a one-shard
+  /// run of an empty graph has no ring and an empty board). Throws
+  /// std::runtime_error when mmap fails.
   explicit ShmArena(std::size_t bytes);
   ~ShmArena();
 

@@ -21,6 +21,14 @@ constexpr std::uint16_t kCoordSrc = 0xFFFF;
 constexpr std::size_t kMaxQueuedBytes = 8u << 20;
 /// Values are chunked so one lost frame costs one chunk, not the board.
 constexpr std::size_t kValuesChunkBytes = 48u << 10;
+/// Give up on one connect attempt after this long (sized for loopback).
+constexpr double kConnectTimeoutSeconds = 2.0;
+/// A blocking frame operation (publish with a full kernel buffer, the
+/// final values flush) fails the link after this long without progress.
+constexpr double kIoTimeoutSeconds = 5.0;
+/// Seed of the deterministic backoff jitter (mixed with shard/peer/
+/// attempt, so concurrent reconnectors do not stampede in lockstep).
+constexpr std::uint64_t kBackoffJitterSeed = 0x1BAD'C0DE'5EEDULL;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_ctrl(const CtrlMsg& msg,
                                                     std::uint16_t src) {
@@ -110,7 +118,7 @@ double TcpTransport::backoff_delay(const Link& link, std::size_t peer) const {
   // Deterministic jitter in [0.5, 1.0): concurrent reconnectors spread
   // out, and the same (seed, shard, peer, attempt) always waits the same.
   const std::uint64_t h = runtime::mix64(
-      net_.backoff_jitter_seed ^ (static_cast<std::uint64_t>(me_) << 40) ^
+      kBackoffJitterSeed ^ (static_cast<std::uint64_t>(me_) << 40) ^
       (static_cast<std::uint64_t>(peer) << 20) ^ link.attempts);
   const double frac =
       static_cast<double>(h >> 11) / static_cast<double>(1ULL << 53);
@@ -221,7 +229,7 @@ void TcpTransport::start_connect(std::size_t peer, double t) {
     return;
   }
   link.state = Link::State::kConnecting;
-  link.attempt_deadline = t + net_.connect_timeout_seconds;
+  link.attempt_deadline = t + kConnectTimeoutSeconds;
 }
 
 void TcpTransport::fail_attempt(std::size_t peer, const char* why) {
@@ -388,7 +396,7 @@ void TcpTransport::progress_link(std::size_t peer) {
       link.stream = net::FrameStream(
           net::FaultySocket(std::move(link.connecting)), kMaxDataPayload);
       link.state = Link::State::kHandshaking;
-      link.attempt_deadline = t + net_.connect_timeout_seconds;
+      link.attempt_deadline = t + kConnectTimeoutSeconds;
       const auto role =
           is_ctrl(peer) ? net::HelloRole::kCtrl : net::HelloRole::kData;
       // v2 hello: the newest epoch this worker has obeyed plus its pid, so
@@ -469,7 +477,7 @@ void TcpTransport::progress_link(std::size_t peer) {
         return;
       }
       // io_timeout write-progress watchdog: queued bytes that do not
-      // shrink for io_timeout_seconds kill the connection (a peer that
+      // shrink for kIoTimeoutSeconds kill the connection (a peer that
       // accepted the connect but reads nothing — e.g. mid-stall).
       if (link.stream.queued_bytes() == 0) {
         link.stall_check_at = 0.0;
@@ -477,7 +485,7 @@ void TcpTransport::progress_link(std::size_t peer) {
                  link.stream.queued_bytes() < link.stall_check_bytes) {
         link.stall_check_at = t;
         link.stall_check_bytes = link.stream.queued_bytes();
-      } else if (t - link.stall_check_at > net_.io_timeout_seconds) {
+      } else if (t - link.stall_check_at > kIoTimeoutSeconds) {
         teardown(peer);
         return;
       }
@@ -495,7 +503,7 @@ void TcpTransport::accept_new(double t) {
     PendingAccept pending;
     pending.stream = net::FrameStream(net::FaultySocket(std::move(*sock)),
                                       kMaxDataPayload);
-    pending.deadline = t + net_.connect_timeout_seconds;
+    pending.deadline = t + kConnectTimeoutSeconds;
     pending_.push_back(std::move(pending));
   }
 }
@@ -783,8 +791,7 @@ bool TcpTransport::finish_values() {
   // Flush until every byte is handed to the kernel (loopback delivers
   // what the kernel has even after _exit closes the fd), reconnecting —
   // and requeueing via link_established — if the link drops meanwhile.
-  const double deadline =
-      now() + std::max(2.0 * net_.io_timeout_seconds, 2.0);
+  const double deadline = now() + 2.0 * kIoTimeoutSeconds;
   while (now() < deadline) {
     pump(5);
     if (orphaned_) {
@@ -938,7 +945,7 @@ void TcpCtrlPlane::accept_and_identify(double t) {
       PendingAccept pending;
       pending.stream = net::FrameStream(net::FaultySocket(std::move(*sock)),
                                         1u << 26);
-      pending.deadline = t + net_.connect_timeout_seconds;
+      pending.deadline = t + kConnectTimeoutSeconds;
       pending_.push_back(std::move(pending));
     }
   }
@@ -1075,7 +1082,7 @@ void TcpCtrlPlane::drop(std::size_t shard, bool drain_values) {
   if (drain_values && link.up && !link.stream.dead()) {
     // Halt path: the worker may still be flushing its final kValues
     // frames; drain them (bounded) before closing.
-    const double deadline = now() + std::max(net_.io_timeout_seconds, 1.0);
+    const double deadline = now() + kIoTimeoutSeconds;
     while (!link.values_done && link.up && now() < deadline) {
       pollfd fd{link.stream.fd(), POLLIN, 0};
       ::poll(&fd, 1, 20);

@@ -26,7 +26,7 @@
 #include "shard/layout.hpp"
 #include "shard/options.hpp"
 #include "shard/partition.hpp"
-#include "shard/shard_engine.hpp"
+#include "shard/slice.hpp"
 #include "shard/tcp_transport.hpp"
 #include "shard/transport.hpp"
 
@@ -71,8 +71,9 @@ struct WorkerConfig {
 };
 
 /// The worker process body: restore-or-initialise, then the BSP loop —
-/// compute, post combined frames, drain peers in source order, publish
-/// values, enter the barrier, wait for the release. Runs single-threaded;
+/// one Engine superstep over this shard's slice, post the combined
+/// frames, drain peers in source order, publish values, enter the
+/// barrier, wait for the release. Runs single-threaded;
 /// heartbeats are sent from inside these loops, so liveness certifies
 /// progress. All I/O goes through the Transport seam, so the SAME loop
 /// runs over shared-memory rings and TCP streams. Never returns normally
@@ -89,11 +90,7 @@ class Worker {
       : cfg_(cfg),
         transport_(std::move(transport)),
         part_(*cfg.graph, cfg.options->num_shards, cfg.options->partition),
-        engine_(*cfg.graph, *cfg.program, part_, cfg.me),
-        bound_fp_(shard_fingerprint(program_fingerprint<Program>(),
-                                    cfg.options->num_shards, cfg.me,
-                                    cfg.options->partition)),
-        owned_slots_(part_.owned_slots(cfg.me)) {
+        slice_(*cfg.graph, *cfg.program, part_, cfg.me, cfg.graph_fp) {
     const std::size_t n = cfg_.options->num_shards;
     coord_epoch_ = cfg.coord_epoch;
     pending_.resize(n);
@@ -122,7 +119,7 @@ class Worker {
     }
     if (!restored) {
       resume = 0;
-      engine_.initialize();
+      slice_.engine.reset();
     }
     superstep_now_ = resume;
 
@@ -152,19 +149,24 @@ class Worker {
 
     if (restored && restored_mode == ft::CheckpointMode::kLightweight &&
         resume > 0) {
+      // The restore regenerated superstep resume-1's messages (resend)
+      // into the outboxes, every destination's slice.
       if (negotiated) {
         // Everyone restored the SAME cut: nobody holds retained frames,
-        // so each worker regenerates and pushes its own slice.
+        // so each worker pushes its own regenerated slices.
         rebuild_all(resume);
       } else {
         // Rebuild inbox_resume from the survivors' republished frames
-        // with our own resend slice interleaved at source position `me` —
-        // the original source-order fold, bit for bit.
+        // with our own regenerated self slice at source position `me` —
+        // the original source-order fold, bit for bit. The remote slices
+        // are not ours to deliver: the survivors' state reflects them.
         for (std::size_t src = 0; src < part_.shards(); ++src) {
           floor_[src] = resume - 1;
         }
-        exchange(resume - 1, /*into_current=*/true, /*self_resend=*/true,
-                 nullptr);
+        const std::vector<std::uint8_t> self_frame =
+            slice_.outboxes.take_outbox(cfg_.me);
+        slice_.outboxes.clear();
+        exchange(resume - 1, self_frame);
       }
     } else {
       for (std::size_t src = 0; src < part_.shards(); ++src) {
@@ -175,13 +177,12 @@ class Worker {
     std::uint64_t s = resume;
     for (;;) {
       superstep_now_ = s;
-      auto tick = [&](std::uint64_t /*executed*/) {
+      const SuperstepStats counts = slice_.engine.step([&] {
         maybe_fault(ShardFault::Phase::kCompute, s);
         heartbeat();
         pump(0);
         drain_frames();
-      };
-      const auto counts = engine_.compute_superstep(s, tick);
+      });
 
       // Post this superstep's combined frames and retain them for
       // recovering peers.
@@ -189,7 +190,7 @@ class Worker {
       gen.superstep = s;
       gen.frames.resize(part_.shards());
       for (std::size_t dst = 0; dst < part_.shards(); ++dst) {
-        gen.frames[dst] = engine_.take_outbox(dst);
+        gen.frames[dst] = slice_.outboxes.take_outbox(dst);
         if (dst != cfg_.me) {
           push_frame(dst, s, gen.frames[dst]);
         }
@@ -204,25 +205,25 @@ class Worker {
 
       // Collect every peer's frame for this superstep into the NEXT
       // inbox, self at its source position.
-      exchange(s, /*into_current=*/false, /*self_resend=*/false,
-               &self_frame);
+      exchange(s, self_frame);
 
       // Publish values BEFORE the barrier: if the run halts at this
       // superstep the board is already complete, and a death after this
       // point loses nothing a redo will not rewrite.
-      transport_->publish_values(engine_.value_bytes(), sizeof(Value),
-                                 owned_slots_);
+      transport_->publish_values(slice_.value_bytes(), sizeof(Value),
+                                 slice_.topology.owned_slots());
 
       CtrlMsg barrier;
       barrier.kind = CtrlMsg::Kind::kBarrier;
       barrier.shard = static_cast<std::uint32_t>(cfg_.me);
       barrier.superstep = s;
-      barrier.sent = counts.sent;
-      barrier.active = counts.active;
-      barrier.executed = counts.executed;
+      barrier.sent = counts.messages_sent;
+      barrier.active = counts.remaining_active;
+      barrier.executed = counts.executed_vertices;
       barrier.epoch = coord_epoch_;
       if constexpr (HasSerializableAggregator<Program>) {
-        const auto agg = engine_.take_aggregate_partial();
+        const auto agg =
+            aggregate_to_bytes<Program>(slice_.engine.aggregated());
         static_assert(sizeof(typename Program::aggregate_type) <=
                           CtrlMsg::kMaxAggregate,
                       "aggregate_type too large for the control plane");
@@ -258,16 +259,15 @@ class Worker {
         return kWorkerExitHalt;
       }
       if constexpr (HasSerializableAggregator<Program>) {
-        engine_.set_aggregated(
+        slice_.engine.set_aggregated(aggregate_from_bytes<Program>(
             std::span<const std::uint8_t>(proceed.payload,
-                                          proceed.payload_len));
+                                          proceed.payload_len)));
       }
 
-      engine_.advance();
       maybe_fault(ShardFault::Phase::kBeforeCheckpoint, s);
       const std::uint64_t next = s + 1;
       if (checkpoint_due(next)) {
-        write_checkpoint(next);
+        write_checkpoint();
       }
       maybe_fault(ShardFault::Phase::kAfterCheckpoint, s);
       s = next;
@@ -313,7 +313,7 @@ class Worker {
                               faulty.has_value() ? &*faulty : base,
                               cfg_.options->checkpoint.keep);
     const auto validator = [this](const ft::EngineSnapshot& snap) {
-      return engine_.validate(snap, cfg_.graph_fp, bound_fp_);
+      return slice_.engine.validate(snap);
     };
     std::optional<ft::SnapshotDirectory::Loaded> found;
     try {
@@ -324,8 +324,7 @@ class Worker {
     if (!found.has_value()) {
       return false;
     }
-    engine_.initialize();
-    engine_.restore(found->snapshot);
+    slice_.engine.restore_state(found->snapshot);
     resume = found->superstep;
     mode = found->snapshot.meta.mode;
     return true;
@@ -333,13 +332,12 @@ class Worker {
 
   /// Full-respawn rebuild of the in-flight state at a lightweight cut:
   /// every worker restored the SAME superstep, so nobody holds anybody's
-  /// retained frames. Each worker regenerates ALL its outboxes via resend
-  /// semantics as superstep resume-1, pushes the remote slices, and folds
-  /// every source's frame (its own included, at source position `me`) in
-  /// ascending source order into the current inbox — the original
-  /// superstep-(resume-1) exchange, bit for bit.
+  /// retained frames. Each worker's restore regenerated ALL its outboxes
+  /// via resend semantics as superstep resume-1; it pushes the remote
+  /// slices and folds every source's frame (its own included, at source
+  /// position `me`) in ascending source order into the current inbox —
+  /// the original superstep-(resume-1) exchange, bit for bit.
   void rebuild_all(std::uint64_t resume) {
-    engine_.regenerate_all(resume);
     for (std::size_t src = 0; src < part_.shards(); ++src) {
       floor_[src] = resume - 1;
     }
@@ -347,7 +345,7 @@ class Worker {
     gen.superstep = resume - 1;
     gen.frames.resize(part_.shards());
     for (std::size_t dst = 0; dst < part_.shards(); ++dst) {
-      gen.frames[dst] = engine_.take_outbox(dst);
+      gen.frames[dst] = slice_.outboxes.take_outbox(dst);
       if (dst != cfg_.me) {
         push_frame(dst, resume - 1, gen.frames[dst]);
       }
@@ -355,8 +353,7 @@ class Worker {
     std::vector<std::uint8_t> self_frame = std::move(gen.frames[cfg_.me]);
     gen.frames[cfg_.me].clear();
     retained_.push_back(std::move(gen));
-    exchange(resume - 1, /*into_current=*/true, /*self_resend=*/false,
-             &self_frame);
+    exchange(resume - 1, self_frame);
   }
 
   /// The coordinator is gone for good on the current link. With recovery
@@ -439,7 +436,7 @@ class Worker {
     return resume % every == 0;
   }
 
-  void write_checkpoint(std::uint64_t resume) {
+  void write_checkpoint() {
     const ft::CheckpointPolicy& p = cfg_.options->checkpoint;
     io::Vfs& vfs = io::vfs_or_real(p.vfs);
     try {
@@ -450,9 +447,9 @@ class Worker {
         checkpoint_dir_.emplace(shard_dir(), p.basename, p.vfs, p.keep);
       }
       checkpoint_dir_->publish(
-          engine_.capture(p.mode, resume, cfg_.graph_fp, bound_fp_),
+          slice_.engine.capture_state(p.mode),
           [this](const ft::EngineSnapshot& s) {
-            return engine_.validate(s, cfg_.graph_fp, bound_fp_);
+            return slice_.engine.validate(s);
           });
     } catch (const std::exception&) {
       // Losing one checkpoint costs recomputation, not correctness; the
@@ -620,24 +617,19 @@ class Worker {
   }
 
   /// Applies every source's frame for `superstep` in ascending source
-  /// order — the determinism backbone. `self_resend` replays
-  /// Program::resend at our own position (lightweight rebuild);
-  /// otherwise `self_frame` is applied there.
-  void exchange(std::uint64_t superstep, bool into_current, bool self_resend,
-                const std::vector<std::uint8_t>* self_frame) {
+  /// order, `self_frame` at our own position, into the inbox the engine's
+  /// next superstep reads — the determinism backbone.
+  void exchange(std::uint64_t superstep,
+                const std::vector<std::uint8_t>& self_frame) {
     for (std::size_t src = 0; src < part_.shards(); ++src) {
       if (src == cfg_.me) {
-        if (self_resend) {
-          engine_.resend_self(superstep + 1);
-        } else if (self_frame != nullptr) {
-          engine_.apply_frame(*self_frame, into_current);
-        }
+        apply_frame(self_frame, slice_.engine);
         continue;
       }
       for (;;) {
         auto it = pending_[src].find(superstep);
         if (it != pending_[src].end()) {
-          engine_.apply_frame(it->second, into_current);
+          apply_frame(it->second, slice_.engine);
           pending_[src].erase(pending_[src].begin(), std::next(it));
           floor_[src] = std::max(floor_[src], superstep + 1);
           break;
@@ -669,9 +661,7 @@ class Worker {
   WorkerConfig<Program> cfg_;
   std::unique_ptr<Transport> transport_;
   ShardPartition part_;
-  ShardEngine<Program> engine_;
-  std::uint64_t bound_fp_;
-  std::vector<std::size_t> owned_slots_;
+  Slice<Program> slice_;
 
   /// Received-but-unapplied frames per source, keyed by superstep.
   std::vector<std::map<std::uint64_t, std::vector<std::uint8_t>>> pending_;

@@ -1,8 +1,8 @@
 // The one checkpoint contract (ft/checkpoint_contract.hpp). A table of
 // single-axis changes to a matching (snapshot, engine binding) pair, each
 // accepted or rejected with a reason that names its axis; the capability
-// traits; and one case each through Engine::restore_state and
-// ShardEngine::validate, to show that both engines answer with the
+// traits; and one case each through Engine::restore_state and a shard
+// slice's Engine::validate, to show that both bindings answer with the
 // contract's own reason.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "ft/checkpoint_contract.hpp"
 #include "graph/generators.hpp"
 #include "shard/partition.hpp"
-#include "shard/shard_engine.hpp"
+#include "shard/slice.hpp"
 #include "test_util.hpp"
 
 namespace ipregel {
@@ -253,16 +253,15 @@ TEST(CheckpointContract, EngineRestoreThrowsTheContractsReason) {
 TEST(CheckpointContract, ShardValidateReturnsTheContractsReason) {
   const auto g = testing::make_graph(graph::grid_2d(6, 6));
   const shard::ShardPartition part(g, 2);
-  shard::ShardEngine<apps::Hashmin> e0(g, apps::Hashmin{}, part, 0);
-  e0.initialize();
-  const std::uint64_t fp = shard::shard_fingerprint(0xAB, 2, 0);
-  ft::EngineSnapshot snap = e0.capture(kHW, 3, 0x99, fp);
-  ASSERT_EQ(e0.validate(snap, 0x99, fp), nullptr);
+  shard::Slice<apps::Hashmin> s0(g, apps::Hashmin{}, part, 0, 0x99);
+  s0.engine.reset();
+  ft::EngineSnapshot snap = s0.engine.capture_state(kHW);
+  ASSERT_EQ(s0.engine.validate(snap), nullptr);
   const SnapshotBinding own = binding_of(snap.meta);
   snap.meta.first_slot += 1;
   const char* why = ft::binding_mismatch(snap.meta, own);
   ASSERT_NE(why, nullptr);
-  const char* got = e0.validate(snap, 0x99, fp);
+  const char* got = s0.engine.validate(snap);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(std::string(got), std::string(why));
 }

@@ -7,13 +7,15 @@
 //
 // The capture pins go one layer further in: each runs a fixed program on
 // a fixed small graph and pins the snapshot file an engine itself
-// captured (heavyweight Engine, lightweight Engine, ShardEngine slice), so
-// a change to how the engines fill in snapshot metadata or payloads shows
-// up here even when the writer is untouched.
+// captured (heavyweight Engine, lightweight Engine, Engine over a shard
+// slice), so
+// a change to how the engines fill in snapshot metadata or payloads
+// shows up here even when the writer is untouched.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -31,7 +33,7 @@
 #include "io/vfs.hpp"
 #include "shard/manifest.hpp"
 #include "shard/partition.hpp"
-#include "shard/shard_engine.hpp"
+#include "shard/slice.hpp"
 #include "test_util.hpp"
 
 namespace ipregel {
@@ -190,35 +192,30 @@ TEST(FormatPin, ShardSliceCaptureIsUnchanged) {
   const auto g =
       testing::make_graph(graph::grid_2d(5, 4, graph::GridOptions{}));
   const shard::ShardPartition part(g, 2);
-  std::vector<shard::ShardEngine<apps::Sssp>> engines;
-  engines.reserve(2);
+  std::deque<shard::Slice<apps::Sssp>> slices;
   for (std::size_t s = 0; s < 2; ++s) {
-    engines.emplace_back(g, apps::Sssp{}, part, s);
-    engines.back().initialize();
+    slices.emplace_back(g, apps::Sssp{}, part, s, ft::graph_fingerprint(g));
+    slices.back().engine.reset();
   }
   // Three supersteps of the synchronous exchange, then shard 1's slice.
   for (std::uint64_t step = 0; step < 3; ++step) {
-    for (auto& e : engines) {
-      (void)e.compute_superstep(step, [](std::uint64_t) {});
+    for (auto& s : slices) {
+      (void)s.engine.step();
     }
     std::vector<std::vector<std::vector<std::uint8_t>>> frames(2);
     for (std::size_t src = 0; src < 2; ++src) {
       for (std::size_t dst = 0; dst < 2; ++dst) {
-        frames[src].push_back(engines[src].take_outbox(dst));
+        frames[src].push_back(slices[src].outboxes.take_outbox(dst));
       }
     }
     for (std::size_t dst = 0; dst < 2; ++dst) {
       for (std::size_t src = 0; src < 2; ++src) {
-        engines[dst].apply_frame(frames[src][dst], /*into_current=*/false);
+        shard::apply_frame(frames[src][dst], slices[dst].engine);
       }
     }
-    for (auto& e : engines) {
-      e.advance();
-    }
   }
-  const auto snap = engines[1].capture(
-      ft::CheckpointMode::kHeavyweight, 3, ft::graph_fingerprint(g),
-      shard::shard_fingerprint(program_fingerprint<apps::Sssp>(), 2, 1));
+  const auto snap =
+      slices[1].engine.capture_state(ft::CheckpointMode::kHeavyweight);
   TempDir dir;
   const std::string path = dir.file("snapshot.3.ipsnap");
   ft::write_snapshot(path, snap);

@@ -4,8 +4,9 @@
 // checkpoint modes — and require the final vertex values to be
 // BIT-IDENTICAL to the undisturbed sharded run. Recovery is only correct
 // here if the respawned shard replays the exact schedule: restore the
-// newest valid slice, rebuild the inbox (republished frames, and
-// resend_self for lightweight), and redo supersteps deterministically.
+// newest valid slice, rebuild the inbox (republished frames, and its own
+// regenerated self slice for lightweight), and redo supersteps
+// deterministically.
 
 #include <gtest/gtest.h>
 

@@ -89,25 +89,24 @@ TEST(ShardSnapshotDir, ForeignShardCountSliceIsQuarantinedNotResurrected) {
       graph::rmat(6, 4, graph::RmatOptions{.seed = 7}));
   TempDir dir;
   const std::uint64_t graph_fp = 0x600D;
-  const std::uint64_t program_fp = 0x77;
+  const std::uint64_t program_fp = program_fingerprint<apps::Hashmin>();
   const ShardPartition part2(g, 2);
-  ShardEngine<apps::Hashmin> engine(g, apps::Hashmin{}, part2, 0);
-  engine.initialize();
-  const std::uint64_t fp_2shards = shard_fingerprint(program_fp, 2, 0);
+  Slice<apps::Hashmin> slice(g, apps::Hashmin{}, part2, 0, graph_fp);
+  slice.engine.reset();
   const std::uint64_t fp_4shards = shard_fingerprint(program_fp, 4, 0);
 
-  const auto own = engine.capture(ft::CheckpointMode::kHeavyweight, 2,
-                                  graph_fp, fp_2shards);
+  auto own = slice.engine.capture_state(ft::CheckpointMode::kHeavyweight);
+  own.meta.superstep = 2;
   ft::write_snapshot(ft::snapshot_path(dir.str(), "snapshot", 2), own);
-  auto foreign = engine.capture(ft::CheckpointMode::kHeavyweight, 5,
-                                graph_fp, fp_4shards);
+  // The same slice, doctored to carry shard 0 of 4's fingerprint.
+  auto foreign = own;
+  foreign.meta.superstep = 5;
+  foreign.meta.program_fingerprint = fp_4shards;
   ft::write_snapshot(ft::snapshot_path(dir.str(), "snapshot", 5), foreign);
 
   ft::SnapshotDirectory snapdir(dir.str(), "snapshot", nullptr, 4);
   const auto entry = snapdir.newest_valid(
-      [&](const ft::EngineSnapshot& s) {
-        return engine.validate(s, graph_fp, fp_2shards);
-      });
+      [&](const ft::EngineSnapshot& s) { return slice.engine.validate(s); });
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->superstep, 2u);  // the older OWN slice, not the newest
   EXPECT_EQ(snapdir.quarantined(), 1u);
@@ -119,12 +118,11 @@ TEST(ShardSnapshotDir, CorruptNewestSliceFallsBackWithinTheShard) {
       graph::rmat(6, 4, graph::RmatOptions{.seed = 7}));
   TempDir dir;
   const ShardPartition part2(g, 2);
-  ShardEngine<apps::Hashmin> engine(g, apps::Hashmin{}, part2, 1);
-  engine.initialize();
-  const std::uint64_t fp = shard_fingerprint(0x77, 2, 1);
+  Slice<apps::Hashmin> slice(g, apps::Hashmin{}, part2, 1, 0x600D);
+  slice.engine.reset();
   for (const std::uint64_t step : {1u, 2u, 3u}) {
-    const auto snap =
-        engine.capture(ft::CheckpointMode::kHeavyweight, step, 0x600D, fp);
+    auto snap = slice.engine.capture_state(ft::CheckpointMode::kHeavyweight);
+    snap.meta.superstep = step;
     ft::write_snapshot(ft::snapshot_path(dir.str(), "snapshot", step), snap);
   }
   // Flip bytes in the middle of the newest file.
@@ -139,9 +137,7 @@ TEST(ShardSnapshotDir, CorruptNewestSliceFallsBackWithinTheShard) {
   }
   ft::SnapshotDirectory snapdir(dir.str(), "snapshot", nullptr, 4);
   const auto entry = snapdir.newest_valid(
-      [&](const ft::EngineSnapshot& s) {
-        return engine.validate(s, 0x600D, fp);
-      });
+      [&](const ft::EngineSnapshot& s) { return slice.engine.validate(s); });
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->superstep, 2u);
   EXPECT_EQ(snapdir.quarantined(), 1u);

@@ -20,6 +20,7 @@
 // only adds up for an out-edges-only configuration.
 
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "apps/pagerank.hpp"
@@ -69,6 +70,13 @@ Sample run_at(unsigned percent) {
   return s;
 }
 
+/// The process peak RSS column: "n/a" where the kernel exposes neither
+/// VmHWM nor VmRSS (read_peak_rss_bytes() reads 0 there), rather than a
+/// peak of zero bytes.
+std::string fmt_peak_rss(std::size_t bytes) {
+  return bytes == 0 ? "n/a" : fmt_bytes(bytes);
+}
+
 }  // namespace
 
 int main() {
@@ -95,7 +103,7 @@ int main() {
                    fmt_count(s.edges), fmt_bytes(s.tracked_bytes),
                    fmt_bytes(s.graph_bytes),
                    fmt_bytes(s.tracked_bytes - s.graph_bytes),
-                   fmt_bytes(s.vm_hwm_bytes)});
+                   fmt_peak_rss(s.vm_hwm_bytes)});
   }
 
   // 7.4.3: linear extrapolation from the sub-breaking-point measurements...
@@ -111,7 +119,7 @@ int main() {
   table.add_row({"100", fmt_count(full.vertices), fmt_count(full.edges),
                  fmt_bytes(full.tracked_bytes), fmt_bytes(full.graph_bytes),
                  fmt_bytes(full.tracked_bytes - full.graph_bytes),
-                 fmt_bytes(full.vm_hwm_bytes)});
+                 fmt_peak_rss(full.vm_hwm_bytes)});
   table.print();
   table.write_csv("results/bench_fig9.csv");
 

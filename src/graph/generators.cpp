@@ -1,6 +1,8 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +13,24 @@ namespace ipregel::graph {
 
 using runtime::Xoshiro256;
 
+namespace {
+
+/// The integer form of the test r < x for r = k * 2^-53, k in [0, 2^53):
+/// k * 2^-53 < x exactly when k < ceil(x * 2^53), as scaling by a power
+/// of two is exact and k is an integer. The result is clamped to
+/// [0, 2^53] before the cast (a NaN x, which no r is below, maps to 0).
+[[nodiscard]] std::uint64_t rmat_threshold(double x) {
+  constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+  const double t = std::ceil(std::ldexp(x, 53));
+  if (!(t > 0.0)) {
+    return 0;
+  }
+  return t >= static_cast<double>(kOne) ? kOne
+                                        : static_cast<std::uint64_t>(t);
+}
+
+}  // namespace
+
 RmatStream::RmatStream(unsigned scale, unsigned edge_factor,
                        const RmatOptions& options)
     : options_(options), scale_(scale), rng_(options.seed),
@@ -18,6 +38,15 @@ RmatStream::RmatStream(unsigned scale, unsigned edge_factor,
   if (scale >= 32) {
     throw std::invalid_argument("rmat scale must be < 32 for 32-bit ids");
   }
+  // The sums are rounded as doubles, as the quadrant tests always have.
+  // The running maxima make the thresholds non-decreasing: a test that
+  // comes after a failed one with a lower bound (negative b, say) can
+  // never pass, and so its quadrant must be empty.
+  const double ab = options_.a + options_.b;
+  const double abc = ab + options_.c;
+  t_a_ = rmat_threshold(options_.a);
+  t_ab_ = std::max(t_a_, rmat_threshold(ab));
+  t_abc_ = std::max(t_ab_, rmat_threshold(abc));
   const vid_t n = vid_t{1} << scale;
   m_ = static_cast<eid_t>(edge_factor) * n;
 
@@ -46,24 +75,15 @@ bool RmatStream::next(Edge& e) {
   if (produced_ >= m_) {
     return false;
   }
-  const double ab = options_.a + options_.b;
-  const double abc = ab + options_.c;
   vid_t row = 0;
   vid_t col = 0;
   for (unsigned bit = 0; bit < scale_; ++bit) {
-    const double r = rng_.next_double();
-    row <<= 1;
-    col <<= 1;
-    if (r < options_.a) {
-      // top-left quadrant: neither bit set
-    } else if (r < ab) {
-      col |= 1;  // top-right
-    } else if (r < abc) {
-      row |= 1;  // bottom-left
-    } else {
-      row |= 1;  // bottom-right
-      col |= 1;
-    }
+    const std::uint64_t k = rng_() >> 11;
+    const bool past_a = k >= t_a_;
+    const bool past_ab = k >= t_ab_;
+    const bool past_abc = k >= t_abc_;
+    row = (row << 1) | static_cast<vid_t>(past_ab);
+    col = (col << 1) | static_cast<vid_t>(past_a ^ past_ab ^ past_abc);
   }
   if (options_.scramble_ids) {
     row = perm_[row];

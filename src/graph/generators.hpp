@@ -45,6 +45,12 @@ struct RmatOptions {
 /// drawn, so every pass replays the identical edge sequence. rmat() is
 /// implemented on top of this stream, which is what keeps the two
 /// bit-identical by construction.
+///
+/// Each recursion level draws one 64-bit word and keeps its top 53 bits,
+/// k, so the level's uniform is r = k * 2^-53 exactly. The quadrant tests
+/// r < a, r < a+b and r < a+b+c are therefore integer tests k < t against
+/// thresholds fixed in the constructor, and next() picks the quadrant
+/// without a branch.
 class RmatStream final : public EdgeSource {
  public:
   /// Throws std::invalid_argument for scale >= 32 (ids are 32-bit).
@@ -61,6 +67,12 @@ class RmatStream final : public EdgeSource {
   eid_t m_ = 0;
   eid_t produced_ = 0;
   std::vector<vid_t> perm_;
+  /// Quadrant thresholds on k, non-decreasing: k < t_a_ is the top-left
+  /// quadrant, [t_a_, t_ab_) top-right, [t_ab_, t_abc_) bottom-left, and
+  /// the rest bottom-right.
+  std::uint64_t t_a_ = 0;
+  std::uint64_t t_ab_ = 0;
+  std::uint64_t t_abc_ = 0;
   runtime::Xoshiro256 rng_;          ///< current position in the stream
   runtime::Xoshiro256 edges_start_;  ///< state right after the permutation
 };

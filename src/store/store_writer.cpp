@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <vector>
@@ -136,6 +137,77 @@ void check_layout(const Superblock& sb, Section s, const SectionRef& got) {
   }
 }
 
+struct Degrees {
+  eid_t out = 0;
+  eid_t in = 0;
+};
+
+/// Per-vertex degree counts gathered in one pass over an edge stream, with
+/// the id range they span, found in the same pass. Counts are kept
+/// relative to the first id seen: ids at or above it in `up_`, ids below
+/// it in `down_` (reversed), and each array grows at its end only. So no
+/// range is needed up front, and the memory is O(max - min) whatever the
+/// ids are. In-degrees are counted even when unused: every dst must be
+/// seen to find the range anyway.
+class DegreeCounts {
+ public:
+  /// Counts every edge of one pass over `source`.
+  void count(graph::EdgeSource& source) {
+    graph::Edge e;
+    source.restart();
+    if (!source.next(e)) {
+      return;
+    }
+    base_ = e.src;
+    do {
+      ++at(e.src).out;
+      ++at(e.dst).in;
+    } while (source.next(e));
+  }
+
+  [[nodiscard]] bool empty() const { return up_.empty(); }
+
+  /// The range spanned by the counted ids (valid when not empty()).
+  [[nodiscard]] vid_t min_id() const {
+    return static_cast<vid_t>(base_ - down_.size());
+  }
+  [[nodiscard]] vid_t max_id() const {
+    return static_cast<vid_t>(base_ + up_.size() - 1);
+  }
+
+  /// The CSR offsets array over `slots` slots: min_id() lands in slot
+  /// `first_slot`, and slots below it keep degree 0.
+  [[nodiscard]] std::vector<eid_t> prefix_sums(eid_t Degrees::*count,
+                                               std::size_t first_slot,
+                                               std::size_t slots) const {
+    std::vector<eid_t> offsets(slots + 1, 0);
+    std::size_t s = first_slot;
+    for (auto it = down_.rbegin(); it != down_.rend(); ++it) {
+      offsets[++s] = (*it).*count;
+    }
+    for (const Degrees& d : up_) {
+      offsets[++s] = d.*count;
+    }
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    return offsets;
+  }
+
+ private:
+  Degrees& at(vid_t id) {
+    const bool above = id >= base_;
+    std::vector<Degrees>& side = above ? up_ : down_;
+    const std::size_t i = above ? id - base_ : base_ - 1 - id;
+    if (i >= side.size()) {
+      side.resize(i + 1);
+    }
+    return side[i];
+  }
+
+  vid_t base_ = 0;
+  std::vector<Degrees> up_;
+  std::vector<Degrees> down_;
+};
+
 }  // namespace
 
 void write_store(const graph::CsrGraph& graph, const std::string& path,
@@ -214,17 +286,15 @@ void write_store_streaming(graph::EdgeSource& source, const std::string& path,
   sb.num_edges = m;
   sb.flags = options.build_in_edges ? kFlagHasInEdges : 0u;
 
-  // Pass 1: id range (replicating CsrGraph::build's addressing maths).
-  vid_t min_id = 0;
-  vid_t max_id = 0;
+  // Pass 1: degree counts, and with them the id range.
+  DegreeCounts counts;
   if (m > 0) {
-    min_id = static_cast<vid_t>(-1);
-    graph::Edge e;
-    source.restart();
-    while (source.next(e)) {
-      min_id = std::min({min_id, e.src, e.dst});
-      max_id = std::max({max_id, e.src, e.dst});
-    }
+    counts.count(source);
+  }
+  if (!counts.empty()) {
+    // Replicates CsrGraph::build's addressing maths.
+    const vid_t min_id = counts.min_id();
+    const vid_t max_id = counts.max_id();
     sb.num_vertices = static_cast<std::uint64_t>(max_id) - min_id + 1;
     switch (options.addressing) {
       case graph::AddressingMode::kDirect:
@@ -255,32 +325,14 @@ void write_store_streaming(graph::EdgeSource& source, const std::string& path,
   };
   const auto slots = static_cast<std::size_t>(sb.num_slots);
 
-  // Pass 2: degree counts -> prefix sums (vertex-sized, stays resident).
-  std::vector<eid_t> out_offsets(slots + 1, 0);
-  std::vector<eid_t> in_offsets;
-  if (m > 0) {
-    graph::Edge e;
-    source.restart();
-    if (options.build_in_edges) {
-      in_offsets.assign(slots + 1, 0);
-      while (source.next(e)) {
-        ++out_offsets[slot_of(e.src) + 1];
-        ++in_offsets[slot_of(e.dst) + 1];
-      }
-      for (std::size_t s = 0; s < slots; ++s) {
-        in_offsets[s + 1] += in_offsets[s];
-      }
-    } else {
-      while (source.next(e)) {
-        ++out_offsets[slot_of(e.src) + 1];
-      }
-    }
-    for (std::size_t s = 0; s < slots; ++s) {
-      out_offsets[s + 1] += out_offsets[s];
-    }
-  } else if (options.build_in_edges) {
-    in_offsets.assign(slots + 1, 0);
-  }
+  // Degree counts -> prefix sums (vertex-sized, stay resident).
+  const std::vector<eid_t> out_offsets =
+      counts.prefix_sums(&Degrees::out, sb.first_slot, slots);
+  const std::vector<eid_t> in_offsets =
+      options.build_in_edges
+          ? counts.prefix_sums(&Degrees::in, sb.first_slot, slots)
+          : std::vector<eid_t>{};
+  counts = DegreeCounts{};
 
   layout_sections(sb, options.page_bytes, slots, m);
 

@@ -44,13 +44,15 @@ struct StreamingBuildOptions {
 };
 
 /// Builds a paged store at `path` directly from an edge stream WITHOUT
-/// ever materialising the edge list or the CSR arrays in memory: degree
-/// counts and offsets are computed in streaming passes, and the target
-/// arrays are scattered chunk by chunk within `edge_ram_budget_bytes`
-/// (one extra pass over the source per chunk). The resulting file is
-/// byte-identical to write_store(CsrGraph::build(same edges)) with the
-/// same page size — the chunked scatter replicates the CSR builder's
-/// stable counting sort exactly.
+/// ever materialising the edge list or the CSR arrays in memory. One pass
+/// over the source counts degrees and finds the id range; the counting
+/// memory is O(max id - min id) in every addressing mode. Each target
+/// array is then scattered chunk by chunk within `edge_ram_budget_bytes`
+/// (at least 1024 targets a chunk), one pass over the source per chunk:
+/// 1 + chunks passes in all, or 1 + 2 * chunks with in-edges. The
+/// resulting file is byte-identical to write_store(CsrGraph::build(same
+/// edges)) with the same page size — the chunked scatter replicates the
+/// CSR builder's stable counting sort exactly.
 ///
 /// The stream is unweighted (the store's kWeights section is absent).
 /// Throws std::invalid_argument for bad options (including kDirect

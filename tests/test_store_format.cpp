@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,29 @@
 #include "store/page_format.hpp"
 #include "store/paged_store.hpp"
 #include "store/store_writer.hpp"
+
+/// While armed (non-zero), any single allocation larger than this many
+/// bytes fails with std::bad_alloc. A build that sized an array by the
+/// largest id, rather than by the id range, fails here instead of taking
+/// the machine's memory.
+std::atomic<std::size_t> g_alloc_cap{0};
+
+void* operator new(std::size_t n) {
+  const std::size_t cap = g_alloc_cap.load(std::memory_order_relaxed);
+  if (cap != 0 && n > cap) {
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so that the compiler does not pair an inlined free() with
+// the operator new at a call site and warn of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ipregel::store {
 namespace {
@@ -116,41 +142,124 @@ TEST(StoreFormat, OffsetAddressingRoundTrips) {
             expected_offsets(g, /*in=*/false));
 }
 
+/// Counts restart() calls: each is one pass over the source.
+class CountingSource final : public graph::EdgeSource {
+ public:
+  explicit CountingSource(const EdgeList& list) : inner_(list) {}
+  void restart() override {
+    ++restarts;
+    inner_.restart();
+  }
+  bool next(graph::Edge& e) override { return inner_.next(e); }
+  [[nodiscard]] graph::eid_t num_edges() const override {
+    return inner_.num_edges();
+  }
+  int restarts = 0;
+
+ private:
+  graph::EdgeListSource inner_;
+};
+
 TEST(StoreFormat, StreamingBuildIsByteIdenticalToInRamBuild) {
   // The headline contract of the beyond-RAM input path: scattering the
-  // edge stream chunk by chunk under a tiny RAM budget produces the SAME
-  // FILE as building the full CSR in memory and serialising it.
-  graph::RmatStream stream(/*scale=*/8, /*edge_factor=*/4, {.seed = 7});
-  const EdgeList edges = graph::rmat(8, 4, {.seed = 7});
-  const CsrGraph g = build_csr(edges, /*in_edges=*/true, /*weights=*/false);
-
-  FaultyVfs vfs;
-  write_store(g, "/ram.pages", &vfs, {.page_bytes = 256});
-  // A budget far below the edge arrays (4 KiB vs 4096 edges x 4 B x 2
-  // sections) forces many scatter chunks.
-  write_store_streaming(stream, "/streamed.pages", &vfs,
-                        {.page_bytes = 256,
-                         .build_in_edges = true,
-                         .edge_ram_budget_bytes = 4096});
-  EXPECT_EQ(vfs.read_all("/ram.pages"), vfs.read_all("/streamed.pages"));
+  // edge stream chunk by chunk produces the SAME FILE as building the
+  // full CSR in memory and serialising it. Every addressing mode x
+  // in-edges on/off x one or many scatter chunks, over two edge orders:
+  // the generator's, and one whose first edge holds the largest id, so
+  // that every later id lies below the first one seen. The source is
+  // read once to count degrees and once per scatter chunk.
+  using graph::AddressingMode;
+  for (const AddressingMode mode :
+       {AddressingMode::kDirect, AddressingMode::kOffset,
+        AddressingMode::kDesolate}) {
+    const graph::vid_t base = mode == AddressingMode::kDirect ? 0 : 1000;
+    EdgeList generated = graph::rmat(9, 8, {.seed = 21});  // 4096 edges
+    graph::shift_ids(generated, base);
+    EdgeList largest_first;
+    largest_first.add(base + 900, base + 3);
+    for (const graph::Edge& e : generated.edges()) {
+      largest_first.add(e.src, e.dst);
+    }
+    for (const EdgeList* edges : {&generated, &largest_first}) {
+      for (const bool in_edges : {false, true}) {
+        // The scatter chunk is at least 1024 targets: a 1-byte budget
+        // splits each target section into ceil(m / 1024) chunks.
+        for (const std::size_t budget :
+             {std::size_t{1}, std::size_t{1} << 20}) {
+          SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                       (edges == &generated ? " generated" : " largest") +
+                       (in_edges ? " in-edges" : "") + " budget " +
+                       std::to_string(budget));
+          const CsrGraph g = CsrGraph::build(
+              *edges, {.addressing = mode, .build_in_edges = in_edges});
+          FaultyVfs vfs;
+          write_store(g, "/ram.pages", &vfs, {.page_bytes = 256});
+          CountingSource source(*edges);
+          write_store_streaming(source, "/streamed.pages", &vfs,
+                                {.page_bytes = 256,
+                                 .addressing = mode,
+                                 .build_in_edges = in_edges,
+                                 .edge_ram_budget_bytes = budget});
+          EXPECT_EQ(vfs.read_all("/ram.pages"),
+                    vfs.read_all("/streamed.pages"));
+          const int chunks =
+              budget == 1 ? static_cast<int>((edges->size() + 1023) / 1024)
+                          : 1;
+          EXPECT_EQ(source.restarts, 1 + chunks + (in_edges ? chunks : 0));
+        }
+      }
+    }
+  }
 }
 
-TEST(StoreFormat, StreamingBuildHonoursTightestBudget) {
-  // Degenerate budget: the chunked scatter must still terminate and stay
-  // byte-identical when each chunk holds only a handful of elements.
-  const EdgeList edges = graph::rmat(6, 4, {.seed = 3});  // 1024 edges
-  graph::EdgeListSource source_a(edges);
-  graph::EdgeListSource source_b(edges);
+TEST(StoreFormat, StreamingOffsetBuildSizesByIdRangeNotLargestId) {
+  // Ids in [2^32 - 16, 2^32 - 1], first seen in the middle of the range.
+  // Offset addressing must count over the 16 ids that occur: an array
+  // sized by the largest id would be 2^32 entries. Desolate addressing
+  // does keep slot == id, so it does ask for such an array: the control
+  // that the allocation cap bites.
+  constexpr graph::vid_t kTop = 0xFFFFFFFFu;
+  EdgeList edges;
+  edges.add(kTop - 8, kTop - 15);
+  for (graph::vid_t i = 0; i < 16; ++i) {
+    edges.add(kTop - i, kTop - (i * 7) % 16);
+    edges.add(kTop - (i * 5) % 16, kTop - i);
+  }
   FaultyVfs vfs;
-  write_store_streaming(source_a, "/tight.pages", &vfs,
-                        {.page_bytes = 64,
-                         .build_in_edges = true,
-                         .edge_ram_budget_bytes = 1});
-  write_store_streaming(source_b, "/roomy.pages", &vfs,
-                        {.page_bytes = 64,
-                         .build_in_edges = true,
-                         .edge_ram_budget_bytes = 1 << 20});
-  EXPECT_EQ(vfs.read_all("/tight.pages"), vfs.read_all("/roomy.pages"));
+  const CsrGraph g = CsrGraph::build(
+      edges, {.addressing = graph::AddressingMode::kOffset,
+              .build_in_edges = true});
+  write_store(g, "/ram.pages", &vfs, {.page_bytes = 64});
+
+  graph::EdgeListSource source(edges);
+  g_alloc_cap = std::size_t{1} << 20;
+  EXPECT_NO_THROW(write_store_streaming(
+      source, "/streamed.pages", &vfs,
+      {.page_bytes = 64,
+       .addressing = graph::AddressingMode::kOffset,
+       .build_in_edges = true}));
+  EXPECT_THROW(write_store_streaming(
+                   source, "/desolate.pages", &vfs,
+                   {.page_bytes = 64,
+                    .addressing = graph::AddressingMode::kDesolate}),
+               std::bad_alloc);
+  g_alloc_cap = 0;
+  EXPECT_EQ(vfs.read_all("/ram.pages"), vfs.read_all("/streamed.pages"));
+  EXPECT_FALSE(vfs.exists("/desolate.pages"));
+}
+
+TEST(StoreFormat, StreamingDirectBuildRejectsNonZeroMinIdWithoutAFile) {
+  EdgeList edges = graph::cycle_graph(32);
+  graph::shift_ids(edges, 5);
+  graph::EdgeListSource source(edges);
+  FaultyVfs vfs;
+  vfs.mkdir("/store");
+  EXPECT_THROW(
+      write_store_streaming(source, kPath, &vfs,
+                            {.addressing = graph::AddressingMode::kDirect}),
+      std::invalid_argument);
+  EXPECT_FALSE(vfs.exists(kPath));
+  EXPECT_TRUE(vfs.list("/store").empty());
 }
 
 TEST(StoreFormat, RejectsBadPageSizes) {
